@@ -4,10 +4,19 @@ A partial permutation is a bijection between two subsets of {1, ..., M},
 encoded as a dense image array where entry j holds sigma(j) and 0 marks an
 undefined point.  Composition follows function application: (sigma tau)(j) is
 sigma(tau(j)) when both steps are defined and undefined otherwise.  The module
-also provides exact counting, deterministic enumeration, breadth-first
-semigroup closure, the order-preserving embedding into total permutations of a
-larger ground set, and the exact transpose-map identity check for the 0/1
-matrix picture u_ij(sigma) = [sigma(j) = i].
+also provides exact counting, deterministic enumeration, semigroup closure,
+the order-preserving embedding into total permutations of a larger ground
+set, and the exact transpose-map identity check for the 0/1 matrix picture
+u_ij(sigma) = [sigma(j) = i].
+
+Semigroup closure is a breadth-first search of the right Cayley graph
+(Froidure & Pin, "Algorithms for computing finite semigroups", 1997): every
+element is a word in the generators, so multiplying each element found on the
+right by each of the k distinct generators reaches the whole closure S in
+|S|*k compositions.  Elements come out generators first, then in
+nondecreasing word length.  A closure that grows past ``CLOSURE_LIMIT``
+elements, the order of the full semigroup on DEFAULT_ENUM_LIMIT points, raises
+``LimitExceeded``.
 """
 
 from __future__ import annotations
@@ -136,12 +145,22 @@ class PartialPermutation:
         return f"PartialPermutation({list(self.image)!r})"
 
 
+def _trusted(image: tuple[int, ...]) -> PartialPermutation:
+    """Wrap an image tuple this module built and knows to be valid (nonempty,
+    values in range, nonzero values distinct), skipping the validation that
+    the public constructor applies to outside input."""
+    sigma = object.__new__(PartialPermutation)
+    sigma.size = len(image)
+    sigma.image = image
+    return sigma
+
+
 def compose(sigma: PartialPermutation, tau: PartialPermutation) -> PartialPermutation:
     """(sigma tau)(j) = sigma(tau(j)) where both applications are defined."""
     if sigma.size != tau.size:
         raise SizeMismatch(f"sizes differ: {sigma.size} vs {tau.size}")
     s_img = sigma.image
-    return PartialPermutation([s_img[t - 1] if t else 0 for t in tau.image])
+    return _trusted(tuple([s_img[t - 1] if t else 0 for t in tau.image]))
 
 
 def invert(sigma: PartialPermutation) -> PartialPermutation:
@@ -150,17 +169,24 @@ def invert(sigma: PartialPermutation) -> PartialPermutation:
     for j, v in enumerate(sigma.image, start=1):
         if v:
             img[v - 1] = j
-    return PartialPermutation(img)
+    return _trusted(tuple(img))
 
 
 def count_all(n: int) -> int:
     """Number of partial permutations of {1, ..., n}: sum_k k! C(n,k)^2.
 
-    Exact big-integer arithmetic; the sequence starts 1, 2, 7, 34, 209, ...
+    Computed exactly by the recurrence a(n) = 2n a(n-1) - (n-1)^2 a(n-2)
+    from a(0) = 1 (OEIS A002720); the sequence starts 1, 2, 7, 34, 209, ...
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return sum(math.factorial(k) * math.comb(n, k) ** 2 for k in range(n + 1))
+    prev, cur = 0, 1
+    for k in range(1, n + 1):
+        prev, cur = cur, 2 * k * cur - (k - 1) ** 2 * prev
+    return cur
+
+
+CLOSURE_LIMIT = count_all(DEFAULT_ENUM_LIMIT)
 
 
 def enumerate_all(
@@ -185,14 +211,16 @@ def enumerate_all(
                 batch.append(tuple(img))
         batch.sort()
         for img in batch:
-            yield PartialPermutation(img)
+            yield _trusted(img)
 
 
 class Semigroup:
     """A finite composition-closed set of equal-size partial permutations.
 
-    ``elements`` preserves the deterministic breadth-first closure order;
-    ``generators`` records the deduplicated generating set.
+    ``elements`` keeps the deterministic closure order of
+    :func:`generate_semigroup`: the generators first, then the other
+    elements in nondecreasing word length.  ``generators`` records the
+    deduplicated generating set.
     """
 
     __slots__ = ("size", "elements", "generators", "_members")
@@ -239,8 +267,14 @@ class Semigroup:
 def generate_semigroup(generators: Iterable[PartialPermutation]) -> Semigroup:
     """Smallest composition-closed set containing the generators.
 
-    Breadth-first closure with a seen-set; element order is insertion order,
-    so reports are reproducible.
+    Breadth-first search of the right Cayley graph: each element, in the
+    order found, is multiplied on the right by every distinct generator, and
+    unseen products are appended.  Since every element is a word in the
+    generators this reaches the whole closure S with |S|*k compositions for
+    k distinct generators.  Element order is the generators (first
+    occurrence order), then the products in nondecreasing word length, so
+    reports are reproducible.  Raises :class:`LimitExceeded` once the
+    closure holds more than ``CLOSURE_LIMIT`` elements.
     """
     gens = list(generators)
     if not gens:
@@ -254,15 +288,17 @@ def generate_semigroup(generators: Iterable[PartialPermutation]) -> Semigroup:
     order: list[PartialPermutation] = list(unique_gens)
     idx = 0
     while idx < len(order):
+        if len(order) > CLOSURE_LIMIT:
+            raise LimitExceeded(
+                f"semigroup closure exceeds {CLOSURE_LIMIT} elements"
+            )
         x = order[idx]
         idx += 1
-        # Pair x against everything discovered so far; pairs with elements
-        # found later are handled when those are dequeued.
-        for y in list(order):
-            for product in (compose(x, y), compose(y, x)):
-                if product not in seen:
-                    seen.add(product)
-                    order.append(product)
+        for g in unique_gens:
+            product = compose(x, g)
+            if product not in seen:
+                seen.add(product)
+                order.append(product)
     return Semigroup(size, order, unique_gens)
 
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from hadperm.pperm import compose
 from hadperm.torus import TorusMatrix, TorusScalar, fourier
 
 
@@ -39,3 +40,14 @@ def drop_last_row(h: TorusMatrix) -> TorusMatrix:
 
 def take_rows(h: TorusMatrix, count: int) -> TorusMatrix:
     return TorusMatrix(h.entries[:count])
+
+
+def brute_force_closure(generators) -> set:
+    """Reference semigroup closure: add every pairwise product of the
+    elements found so far until no new element appears."""
+    elements = set(generators)
+    while True:
+        products = {compose(a, b) for a in elements for b in elements}
+        if products <= elements:
+            return elements
+        elements |= products

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from hadperm import pperm
 from hadperm.cli import main
 from hadperm.torus import format_phm, fourier
 
@@ -177,6 +178,16 @@ class TestSemigroup:
         code, out, _ = run(capsys, "semigroup", path)
         assert code == 0
         assert out.splitlines()[0] == "semigroup 2 6"
+
+    @pytest.mark.parametrize(
+        "argv", [("semigroup", DATA / "pls4x6.pls"), ("grid", DATA / "m2_family.phm")]
+    )
+    def test_closure_limit_exit_code(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(pperm, "CLOSURE_LIMIT", 5)
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "exceeds 5 elements" in err
 
 
 class TestDeterminism:

@@ -1,11 +1,15 @@
 """Partial permutation arithmetic, counting, enumeration, closure, embedding,
 and the exact matrix-picture identities."""
 
+import math
+
 import numpy as np
 import pytest
+from _helpers import brute_force_closure
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hadperm import pperm
 from hadperm.errors import (
     FormatError,
     LimitExceeded,
@@ -162,6 +166,13 @@ class TestCounting:
         assert count_all(5) == 1546
         assert count_all(6) == 13327
 
+    def test_recurrence_matches_binomial_sum(self):
+        for n in range(60):
+            expected = sum(
+                math.factorial(k) * math.comb(n, k) ** 2 for k in range(n + 1)
+            )
+            assert count_all(n) == expected
+
     def test_matches_enumeration(self):
         for n in range(1, 6):
             assert sum(1 for _ in enumerate_all(n)) == count_all(n)
@@ -240,9 +251,60 @@ class TestSemigroup:
                 for b in sg:
                     assert compose(a, b) in members
 
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_matches_brute_force_closure(self, m):
+        rng = np.random.default_rng(31 + m)
+        for _ in range(12):
+            gens = []
+            for _ in range(int(rng.integers(1, 4))):
+                perm = rng.permutation(m) + 1
+                mask = rng.integers(0, 2, m)
+                gens.append(PartialPermutation(perm * mask))
+            sg = generate_semigroup(gens)
+            assert len(set(sg.elements)) == len(sg)
+            assert set(sg.elements) == brute_force_closure(gens)
+
+    def test_transposition_cycle_and_partial_identity_generate_i5(self):
+        gens = [pp(2, 1, 3, 4, 5), pp(2, 3, 4, 5, 1), pp(0, 2, 3, 4, 5)]
+        sg = generate_semigroup(gens)
+        assert len(sg) == 1546
+        assert set(sg.elements) == set(enumerate_all(5))
+
+    def test_order_is_generators_then_word_length(self):
+        gens = [pp(2, 0, 3), pp(3, 1, 2), pp(2, 0, 3), pp(0, 2, 3)]
+        unique = [pp(2, 0, 3), pp(3, 1, 2), pp(0, 2, 3)]
+        # shortest word length: products of exactly n generators, level by
+        # level, until a level brings nothing new
+        length = {g: 1 for g in unique}
+        level, n = set(unique), 1
+        while True:
+            n += 1
+            level = {compose(w, g) for w in level for g in unique}
+            new = level - length.keys()
+            if not new:
+                break
+            length.update((e, n) for e in new)
+        sg = generate_semigroup(gens)
+        assert list(sg.generators) == unique
+        assert list(sg.elements[:3]) == unique
+        assert set(sg.elements) == set(length)
+        lengths = [length[e] for e in sg.elements]
+        assert lengths == sorted(lengths)
+
     def test_deterministic_order(self):
         gens = [pp(2, 0), pp(0, 1)]
         assert generate_semigroup(gens).elements == generate_semigroup(gens).elements
+
+    def test_closure_limit(self, monkeypatch):
+        gens = [pp(2, 1, 3), pp(2, 3, 1), pp(0, 2, 3)]
+        monkeypatch.setattr(pperm, "CLOSURE_LIMIT", 34)
+        assert len(generate_semigroup(gens)) == 34
+        monkeypatch.setattr(pperm, "CLOSURE_LIMIT", 33)
+        with pytest.raises(LimitExceeded):
+            generate_semigroup(gens)
+
+    def test_closure_limit_is_order_of_largest_enumeration(self):
+        assert pperm.CLOSURE_LIMIT == count_all(pperm.DEFAULT_ENUM_LIMIT) == 130922
 
     def test_size_mismatch(self):
         with pytest.raises(SizeMismatch):
