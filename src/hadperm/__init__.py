@@ -3,10 +3,12 @@ partial permutations they generate, together with completion procedures and
 their decision criteria."""
 
 from .completion import (
+    CriteriaReport,
     KernelData,
     ModulusProfile,
     WeightedResult,
     complete_row,
+    criteria,
     gram_criterion,
     kernel_vector,
     modulus_profile,

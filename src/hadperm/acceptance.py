@@ -238,7 +238,7 @@ def criterion_concordance(seed: int = 0) -> CriterionResult:
             positive = _randomized_deleted_row_fourier(n, rng)
             negative = _perturb_one_entry(positive, rng)
             for instance, expected in ((positive, True), (negative, False)):
-                votes = _concordance_votes(instance, tol)
+                votes = completion.criteria(instance, tol).votes
                 checked += 1
                 if any(v != expected for v in votes.values()):
                     return _result(
@@ -251,23 +251,6 @@ def criterion_concordance(seed: int = 0) -> CriterionResult:
         f"{checked} instances: modulus/gram/weighted/border tests unanimous, "
         "positives accepted, perturbed negatives rejected",
     )
-
-
-def _concordance_votes(h: torus.TorusMatrix, tol: float) -> dict[str, bool]:
-    votes = {
-        "modulus_constant": completion.modulus_profile(h, tol).constant,
-        "gram": completion.gram_criterion(h, tol),
-        "weighted": completion.weighted_criterion(h, tol).passes,
-    }
-    # Certification is deliberately loose here so that perturbed (non
-    # Hadamard) inputs still reach the border-completion test.
-    grid = submagic.grid_from_hadamard(h, tol=0.1)
-    try:
-        submagic.complete_last(grid, tol=tol)
-        votes["complete_last"] = True
-    except NotCompletable:
-        votes["complete_last"] = False
-    return votes
 
 
 def criterion_two_by_two(seed: int = 0) -> CriterionResult:

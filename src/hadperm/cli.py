@@ -153,36 +153,28 @@ def _cmd_complete_grid(args) -> int:
 
 
 def _cmd_criteria(args) -> int:
-    h = torus.read_phm(args.input)
-    profile = completion.modulus_profile(h, args.tol)
-    gram = completion.gram_criterion(h, args.tol)
-    weighted = completion.weighted_criterion(h, args.tol)
-    grid = submagic.grid_from_hadamard(h, tol=max(args.tol, 0.1))
-    try:
-        submagic.complete_last(grid, tol=args.tol)
-        border = True
-    except NotCompletable:
-        border = False
-    votes = [profile.constant, gram, weighted.passes, border]
+    report = completion.criteria(torus.read_phm(args.input), args.tol)
+    profile, weighted = report.profile, report.weighted
+    votes = report.votes.values()
     agree = len(set(votes)) == 1
     payload = {
         "moduli": list(profile.moduli),
         "modulus_constant": profile.constant,
         "modulus_hadamard_value": profile.hadamard_value,
-        "gram_criterion": gram,
+        "gram_criterion": report.gram,
         "weighted_criterion": weighted.passes,
         "weighted_c": weighted.c,
-        "complete_last": border,
+        "complete_last": report.border,
         "agree": agree,
     }
     lines = [
         f"moduli: {[repr(v) for v in profile.moduli]}",
         f"modulus_constant: {_flag(profile.constant)}",
         f"modulus_hadamard_value: {_flag(profile.hadamard_value)}",
-        f"gram_criterion: {_flag(gram)}",
+        f"gram_criterion: {_flag(report.gram)}",
         f"weighted_criterion: {_flag(weighted.passes)}",
         f"weighted_c: {weighted.c!r}",
-        f"complete_last: {_flag(border)}",
+        f"complete_last: {_flag(report.border)}",
         f"agree: {_flag(agree)}",
     ]
     _emit(args, payload, lines)

@@ -12,7 +12,13 @@ Two further tests decide whether the associated rank-one projection grid
 completes to a magic grid: the Gram test (``G - (N-2)`` must be a projection,
 where G collects squared column inner products over N) and the weighted test
 (``H D H* = c`` with D the diagonal of |Z_j|^2).  Whether all these
-conditions are mutually equivalent is empirically probed, never assumed.
+conditions are mutually equivalent is empirically probed, never assumed:
+:func:`criteria` runs the modulus, Gram and weighted tests together with the
+border completion of the grid, and is the one place where the four votes are
+assembled.
+
+Every public call computes the N minors once, and the tests that need them
+share that one pass.
 
 Tolerances on determinant moduli scale with N^(N/2 - 1), since that is the
 natural magnitude of the minors.
@@ -26,9 +32,11 @@ import numpy as np
 
 from ._linalg import DEFAULT_TOL, spectral_norm
 from .errors import IllConditioned, NotCompletable, NotHadamard
+from .submagic import complete_last, grid_from_hadamard
 from .torus import TorusMatrix, TorusScalar, is_partial_hadamard, minor_det
 
 __all__ = [
+    "CriteriaReport",
     "KernelData",
     "ModulusProfile",
     "WeightedResult",
@@ -37,6 +45,7 @@ __all__ = [
     "complete_row",
     "gram_criterion",
     "weighted_criterion",
+    "criteria",
 ]
 
 
@@ -74,6 +83,27 @@ class WeightedResult:
     deviation: float
 
 
+@dataclass(frozen=True)
+class CriteriaReport:
+    """The four completion tests of one (N-1) x N matrix: the modulus profile,
+    the Gram flag, the weighted test and ``border``, whether the associated
+    grid completes by :func:`~hadperm.submagic.complete_last`."""
+
+    profile: ModulusProfile
+    gram: bool
+    weighted: WeightedResult
+    border: bool
+
+    @property
+    def votes(self) -> dict[str, bool]:
+        return {
+            "modulus_constant": self.profile.constant,
+            "gram": self.gram,
+            "weighted": self.weighted.passes,
+            "complete_last": self.border,
+        }
+
+
 def _require_shape(h: TorusMatrix) -> int:
     if h.rows != h.cols - 1:
         raise ValueError(
@@ -82,10 +112,15 @@ def _require_shape(h: TorusMatrix) -> int:
     return h.cols
 
 
-def _kernel(h: TorusMatrix, tol: float) -> KernelData:
-    """Cofactor kernel data without the partial Hadamard precondition check."""
+def _minors(h: TorusMatrix) -> np.ndarray:
+    """All minor determinants det H^(j), j = 1..N."""
     n = _require_shape(h)
-    minors = np.array([minor_det(h, j) for j in range(1, n + 1)], dtype=complex)
+    return np.array([minor_det(h, j) for j in range(1, n + 1)], dtype=complex)
+
+
+def _kernel(h: TorusMatrix, minors: np.ndarray, tol: float) -> KernelData:
+    """Cofactor kernel data without the partial Hadamard precondition check."""
+    n = h.cols
     signs = np.array([(-1) ** j for j in range(1, n + 1)], dtype=float)
     z = signs * minors.conj()
     # The cofactor identity makes <R_i, z> an N x N determinant with a
@@ -114,7 +149,7 @@ def kernel_vector(h: TorusMatrix, *, tol: float = DEFAULT_TOL) -> KernelData:
             f"value {report.worst_value:.3e}",
             report=report,
         )
-    return _kernel(h, tol)
+    return _kernel(h, _minors(h), tol)
 
 
 def modulus_profile(h: TorusMatrix, tol: float = DEFAULT_TOL) -> ModulusProfile:
@@ -124,8 +159,12 @@ def modulus_profile(h: TorusMatrix, tol: float = DEFAULT_TOL) -> ModulusProfile:
     pins the common value at N^(N/2-1).  Both comparisons are relative to
     N^(N/2-1).
     """
-    n = _require_shape(h)
-    moduli = np.abs([minor_det(h, j) for j in range(1, n + 1)])
+    return _profile(_minors(h), tol)
+
+
+def _profile(minors: np.ndarray, tol: float) -> ModulusProfile:
+    n = len(minors)
+    moduli = np.abs(minors)
     scale = n ** (n / 2.0 - 1.0)
     constant = bool(moduli.max() - moduli.min() <= tol * scale)
     hadamard_value = bool(np.abs(moduli - scale).max() <= tol * scale)
@@ -144,13 +183,14 @@ def complete_row(h: TorusMatrix, *, tol: float = DEFAULT_TOL) -> TorusMatrix:
     :class:`NotCompletable` witness otherwise.  Existing rows are preserved
     bit-exactly; the appended row is float, so the result is a float matrix.
     """
-    n = _require_shape(h)
-    profile = modulus_profile(h, tol)
+    minors = _minors(h)
+    n = len(minors)
+    profile = _profile(minors, tol)
     if not profile.constant:
         raise NotCompletable(
             f"minor moduli are not constant: {profile.moduli}", witness=profile
         )
-    data = _kernel(h, tol)
+    data = _kernel(h, minors, tol)
     row = n ** (1.0 - n / 2.0) * data.z
     try:
         new_row = [TorusScalar.from_complex(z) for z in row]
@@ -182,10 +222,35 @@ def weighted_criterion(h: TorusMatrix, tol: float = DEFAULT_TOL) -> WeightedResu
     measured relative to c.  Equivalent to completability of the associated
     grid, like the Gram test.
     """
-    n = _require_shape(h)
-    data = _kernel(h, tol)
-    weights = data.moduli**2
+    return _weighted(h, _minors(h), tol)
+
+
+def _weighted(h: TorusMatrix, minors: np.ndarray, tol: float) -> WeightedResult:
+    n = h.cols
+    weights = _kernel(h, minors, tol).moduli**2
     c = float(weights.sum())
     a = h.to_complex()
     deviation = spectral_norm((a * weights) @ a.conj().T - c * np.eye(n - 1))
     return WeightedResult(passes=bool(deviation <= tol * c), c=c, deviation=deviation)
+
+
+def criteria(h: TorusMatrix, tol: float = DEFAULT_TOL) -> CriteriaReport:
+    """Run the modulus, Gram, weighted and border-completion tests on one
+    (N-1) x N matrix, computing its minors once.
+
+    The grid is certified at the loose ``max(tol, 0.1)`` so that perturbed
+    (not quite partial Hadamard) inputs still reach the border test.  Errors
+    surface in the order minors, Gram, kernel residual, grid certification,
+    border completion; only :class:`NotCompletable` from the border is a vote.
+    """
+    minors = _minors(h)
+    profile = _profile(minors, tol)
+    gram = gram_criterion(h, tol)
+    weighted = _weighted(h, minors, tol)
+    grid = grid_from_hadamard(h, tol=max(tol, 0.1))
+    try:
+        complete_last(grid, tol=tol)
+        border = True
+    except NotCompletable:
+        border = False
+    return CriteriaReport(profile=profile, gram=gram, weighted=weighted, border=border)

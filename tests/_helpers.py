@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
+from hadperm._linalg import spectral_norm
 from hadperm.pperm import compose
 from hadperm.torus import TorusMatrix, TorusScalar, fourier
 
@@ -51,3 +53,12 @@ def brute_force_closure(generators) -> set:
         if products <= elements:
             return elements
         elements |= products
+
+
+def brute_force_commutator(grid) -> float:
+    """Reference commutator: the largest spectral norm of xy - yx over all
+    pairs of distinct blocks."""
+    flat = grid.blocks.reshape(-1, grid.dim, grid.dim)
+    return max(
+        (spectral_norm(x @ y - y @ x) for x, y in combinations(flat, 2)), default=0.0
+    )

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from _helpers import drop_last_row, exact_randomized_fourier, take_rows
+from hadperm import completion
 from hadperm.completion import (
     complete_row,
+    criteria,
     gram_criterion,
     kernel_vector,
     modulus_profile,
@@ -210,3 +212,42 @@ class TestCriteriaBridge:
         h = drop_last_row(exact_randomized_fourier(5, rng))
         full = complete_last(grid_from_hadamard(h), tol=1e-9)
         assert check_grid(full, 1e-8).magic
+
+
+class TestCriteria:
+    def test_votes_match_the_separate_tests(self):
+        rng = np.random.default_rng(97)
+        for n in (3, 4, 5):
+            h = drop_last_row(exact_randomized_fourier(n, rng))
+            for matrix in (h, perturb(h, 0, int(rng.integers(n)))):
+                report = criteria(matrix, tol=1e-8)
+                assert report.profile == modulus_profile(matrix, tol=1e-8)
+                assert report.gram == gram_criterion(matrix, tol=1e-8)
+                assert report.weighted == weighted_criterion(matrix, tol=1e-8)
+                assert list(report.votes) == [
+                    "modulus_constant", "gram", "weighted", "complete_last"
+                ]
+                assert set(report.votes.values()) == {matrix is h}
+
+
+class TestMinorsOncePerCall:
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        calls = []
+
+        def counting_minor_det(h, j, **kwargs):
+            calls.append(j)
+            return minor_det(h, j, **kwargs)
+
+        monkeypatch.setattr(completion, "minor_det", counting_minor_det)
+        return calls
+
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    def test_complete_row_takes_n_minors(self, counted, n):
+        complete_row(drop_last_row(fourier([n])))
+        assert sorted(counted) == list(range(1, n + 1))
+
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    def test_criteria_takes_n_minors(self, counted, n):
+        assert all(criteria(drop_last_row(fourier([n]))).votes.values())
+        assert sorted(counted) == list(range(1, n + 1))

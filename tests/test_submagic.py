@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from _helpers import exact_randomized_fourier, take_rows
+from _helpers import brute_force_commutator, exact_randomized_fourier, take_rows
 from hadperm.errors import (
     FormatError,
     NotCommuting,
@@ -34,7 +34,7 @@ from hadperm.submagic import (
     sum_bound_check,
 )
 from hadperm.submagic import _joint_eigensystem
-from hadperm.torus import TorusMatrix, fourier
+from hadperm.torus import TorusMatrix, fourier, tensor
 
 W3 = np.exp(2j * np.pi / 3)
 
@@ -141,6 +141,34 @@ class TestCheckGrid:
         report = check_grid(ProjGrid(almost))
         assert not report.submagic
         assert report.worst_violations["projection"] == pytest.approx(0.25)
+
+
+class TestCommutatorIsExact:
+    """check_grid's commutator is the brute-force maximum over all pairs of
+    blocks at every grid size."""
+
+    @pytest.mark.parametrize("n", [10, 12])
+    def test_fourier_grids_past_64_blocks(self, n):
+        grid = grid_from_hadamard(fourier([n]))
+        assert grid.size**2 > 64
+        report = check_grid(grid)
+        assert report.commuting
+        assert report.worst_violations["commutator"] == brute_force_commutator(grid)
+
+    def test_non_commuting_grid_past_64_blocks(self):
+        row = two_row(np.array([1, np.exp(0.7j), -1, -np.exp(0.7j)]))
+        grid = grid_from_hadamard(tensor(row, fourier([5])))
+        assert grid.size**2 == 100
+        report = check_grid(grid)
+        assert not report.commuting
+        assert report.worst_violations["commutator"] == brute_force_commutator(grid)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_random_grids(self, m):
+        for seed in range(10):
+            grid = random_grid(m, 4, seed)
+            expected = brute_force_commutator(grid)
+            assert check_grid(grid).worst_violations["commutator"] == expected
 
 
 class TestPreLatinFromRankOne:
