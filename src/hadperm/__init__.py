@@ -44,7 +44,7 @@ from .pperm import (
     invert,
     verify_subantipode,
 )
-from .prelatin import PreLatinSquare, semigroup_of, sigma_of, validate
+from .prelatin import PreLatinSquare, semigroup_of, sigma_of
 from .submagic import (
     GridReport,
     ProjGrid,
@@ -63,7 +63,6 @@ from .torus import (
     HadamardReport,
     TorusMatrix,
     TorusScalar,
-    TorusVector,
     fourier,
     is_partial_hadamard,
     minor_det,

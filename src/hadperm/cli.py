@@ -261,8 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="numerical tolerance")
         p.add_argument("--seed", type=int, default=0, help="random seed")
         p.add_argument("--json", action="store_true", help="emit one JSON object")
-        p.add_argument("--limit", type=int, default=pperm.DEFAULT_ENUM_LIMIT,
-                       help="enumeration size cap")
 
     p = sub.add_parser("check", help="certify a .phm file as partial Hadamard")
     p.add_argument("input")
@@ -313,6 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="list all partial permutations of {1..N}")
     p.add_argument("n", type=int)
+    p.add_argument("--limit", type=int, default=pperm.DEFAULT_ENUM_LIMIT,
+                   help="enumeration size cap")
     common(p)
     p.set_defaults(func=_cmd_enumerate)
 

@@ -19,7 +19,6 @@ from .pperm import PartialPermutation, Semigroup, generate_semigroup
 
 __all__ = [
     "PreLatinSquare",
-    "validate",
     "sigma_of",
     "semigroup_of",
     "parse_pls",
@@ -30,7 +29,11 @@ __all__ = [
 
 
 class PreLatinSquare:
-    """A validated M x M square over {1, ..., alphabet}."""
+    """A validated M x M square over {1, ..., alphabet}.
+
+    Construction raises :class:`OutOfAlphabet`, :class:`DuplicateInRow` or
+    :class:`DuplicateInColumn` naming the offending position.
+    """
 
     __slots__ = ("size", "alphabet", "entries")
 
@@ -75,15 +78,6 @@ class PreLatinSquare:
 
     def __repr__(self) -> str:
         return f"PreLatinSquare(size={self.size}, alphabet={self.alphabet})"
-
-
-def validate(entries: Sequence[Sequence[int]], alphabet: int) -> PreLatinSquare:
-    """Validate an integer array as a pre-Latin square over {1, ..., alphabet}.
-
-    Raises :class:`OutOfAlphabet`, :class:`DuplicateInRow` or
-    :class:`DuplicateInColumn` naming the offending position.
-    """
-    return PreLatinSquare(entries, alphabet)
 
 
 def sigma_of(square: PreLatinSquare, x: int) -> PartialPermutation:

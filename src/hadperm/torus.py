@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -31,7 +31,6 @@ from .errors import FormatError, IllConditioned
 
 __all__ = [
     "TorusScalar",
-    "TorusVector",
     "TorusMatrix",
     "HadamardReport",
     "fourier",
@@ -176,44 +175,6 @@ class TorusScalar:
         return f"TorusScalar({self.token()})"
 
 
-class TorusVector:
-    """A fixed-length vector of unit-modulus entries."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: Iterable[TorusScalar]):
-        self.entries = tuple(entries)
-        if not self.entries:
-            raise ValueError("vector must be nonempty")
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __getitem__(self, idx: int) -> TorusScalar:
-        return self.entries[idx]
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TorusVector):
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash(self.entries)
-
-    @property
-    def is_exact(self) -> bool:
-        return all(e.is_exact for e in self.entries)
-
-    def to_complex(self) -> np.ndarray:
-        return np.array([e.value for e in self.entries], dtype=complex)
-
-    def __repr__(self) -> str:
-        return "TorusVector(" + " ".join(e.token() for e in self.entries) + ")"
-
-
 class TorusMatrix:
     """An M x N matrix of unit-modulus entries.
 
@@ -259,12 +220,6 @@ class TorusMatrix:
         if not (1 <= i <= self.rows and 1 <= j <= self.cols):
             raise ValueError(f"index ({i},{j}) out of range")
         return self.entries[i - 1][j - 1]
-
-    def row(self, i: int) -> TorusVector:
-        """Row i (1-based) as a vector."""
-        if not 1 <= i <= self.rows:
-            raise ValueError(f"row index {i} out of range")
-        return TorusVector(self.entries[i - 1])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TorusMatrix):
@@ -358,8 +313,9 @@ def is_partial_hadamard(h: TorusMatrix, tol: float = DEFAULT_TOL) -> HadamardRep
     return HadamardReport(ok, worst_pair, worst_value, worst_entry, worst_mod)
 
 
-def row_quotient(h: TorusMatrix, i: int, j: int) -> TorusVector:
-    """The entrywise quotient of rows i and j (1-based): ``R_i / R_j``.
+def row_quotient(h: TorusMatrix, i: int, j: int) -> TorusMatrix:
+    """The entrywise quotient of rows i and j (1-based), ``R_i / R_j``, as a
+    one-row matrix.
 
     Exactness is preserved when both rows are exact.
     """
@@ -367,7 +323,7 @@ def row_quotient(h: TorusMatrix, i: int, j: int) -> TorusVector:
         raise ValueError(f"row indices ({i},{j}) out of range")
     top = h.entries[i - 1]
     bottom = h.entries[j - 1]
-    return TorusVector(t / b for t, b in zip(top, bottom))
+    return TorusMatrix([[t / b for t, b in zip(top, bottom)]])
 
 
 def minor_det(h: TorusMatrix, j: int, *, rel_tol: float = 1e-6) -> complex:

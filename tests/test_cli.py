@@ -212,6 +212,12 @@ class TestUsage:
             main(["count", "4", "--bogus"])
         assert exc.value.code == 2
 
+    def test_limit_only_on_enumerate(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["semigroup", str(DATA / "pls4x6.pls"), "--limit", "1"])
+        assert exc.value.code == 2
+        assert "--limit" in capsys.readouterr().err
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "check", "no-such-file.phm")
         assert code == 2

@@ -12,11 +12,11 @@ from hadperm.errors import (
 )
 from hadperm.pperm import PartialPermutation
 from hadperm.prelatin import (
+    PreLatinSquare,
     format_pls,
     parse_pls,
     semigroup_of,
     sigma_of,
-    validate,
 )
 from hadperm.submagic import ProjGrid, check_grid
 
@@ -31,62 +31,63 @@ def random_pre_latin(m, n, rng):
     base = (np.add.outer(np.arange(n), np.arange(n)) % n) + 1
     base = base[rng.permutation(n)][:, rng.permutation(n)]
     relabel = rng.permutation(n) + 1
-    return validate([[int(relabel[v - 1]) for v in row[:m]] for row in base[:m]], n)
+    entries = [[int(relabel[v - 1]) for v in row[:m]] for row in base[:m]]
+    return PreLatinSquare(entries, n)
 
 
 class TestValidate:
     def test_valid_square(self):
-        square = validate([[1, 2], [3, 1]], 3)
+        square = PreLatinSquare([[1, 2], [3, 1]], 3)
         assert square.size == 2 and square.alphabet == 3
         assert square.entry(2, 1) == 3
 
     def test_duplicate_in_row(self):
         with pytest.raises(DuplicateInRow) as err:
-            validate([[1, 1], [2, 3]], 3)
+            PreLatinSquare([[1, 1], [2, 3]], 3)
         assert err.value.row == 1
 
     def test_duplicate_reported_even_for_single_row_input(self):
         with pytest.raises(DuplicateInRow) as err:
-            validate([[1, 1]], 2)
+            PreLatinSquare([[1, 1]], 2)
         assert err.value.row == 1
 
     def test_duplicate_in_column(self):
         with pytest.raises(DuplicateInColumn) as err:
-            validate([[1, 2], [1, 3]], 3)
+            PreLatinSquare([[1, 2], [1, 3]], 3)
         assert err.value.column == 1
 
     def test_latin_square_is_pre_latin(self):
-        assert validate([[1, 2], [2, 1]], 2).size == 2
+        assert PreLatinSquare([[1, 2], [2, 1]], 2).size == 2
 
     def test_out_of_alphabet(self):
         with pytest.raises(OutOfAlphabet) as err:
-            validate([[1, 2], [3, 4]], 3)
+            PreLatinSquare([[1, 2], [3, 4]], 3)
         assert (err.value.row, err.value.column) == (2, 2)
 
     def test_shape_must_be_square(self):
         with pytest.raises(ValueError):
-            validate([[1, 2]], 2)
+            PreLatinSquare([[1, 2]], 2)
 
 
 class TestSigmaOf:
     def test_value_present_once(self):
-        square = validate([[1, 2], [3, 1]], 3)
+        square = PreLatinSquare([[1, 2], [3, 1]], 3)
         assert sigma_of(square, 2) == pp(0, 1)  # L[1][2] = 2, so sigma(2) = 1
         assert sigma_of(square, 1) == PartialPermutation.identity(2)
         assert sigma_of(square, 3) == pp(2, 0)
 
     def test_absent_value_gives_empty_map(self):
-        square = validate([[1, 2], [3, 1]], 4)
+        square = PreLatinSquare([[1, 2], [3, 1]], 4)
         assert sigma_of(square, 4) == PartialPermutation.empty(2)
 
     def test_cyclic_square_gives_shift(self):
-        square = validate(
+        square = PreLatinSquare(
             [[((i - j) % 3) + 1 for j in range(3)] for i in range(3)], 3
         )
         assert sigma_of(square, 2) == pp(2, 3, 1)  # j -> j+1 mod 3
 
     def test_out_of_range_value(self):
-        square = validate([[1]], 1)
+        square = PreLatinSquare([[1]], 1)
         with pytest.raises(ValueError):
             sigma_of(square, 2)
 
@@ -110,19 +111,19 @@ class TestSigmaOf:
 
 class TestSemigroupOf:
     def test_single_cell(self):
-        sg = semigroup_of(validate([[1]], 1))
+        sg = semigroup_of(PreLatinSquare([[1]], 1))
         assert len(sg) == 1
         assert sg.elements[0] == PartialPermutation.identity(1)
 
     def test_order_six_example(self):
-        sg = semigroup_of(validate([[1, 2], [3, 1]], 3))
+        sg = semigroup_of(PreLatinSquare([[1, 2], [3, 1]], 3))
         assert len(sg) == 6
         assert set(sg.elements) == {
             pp(1, 2), pp(0, 1), pp(2, 0), pp(1, 0), pp(0, 2), pp(0, 0),
         }
 
     def test_cyclic_square(self):
-        square = validate(
+        square = PreLatinSquare(
             [[((i - j) % 3) + 1 for j in range(3)] for i in range(3)], 3
         )
         sg = semigroup_of(square)
@@ -136,14 +137,14 @@ class TestSemigroupOf:
             m = int(rng.integers(1, n + 1))
             square = random_pre_latin(m, n, rng)
             relabel = rng.permutation(n) + 1
-            relabeled = validate(
+            relabeled = PreLatinSquare(
                 [[int(relabel[v - 1]) for v in row] for row in square.entries], n
             )
             assert semigroup_of(square) == semigroup_of(relabeled)
 
     def test_unused_labels_add_empty_generator(self):
         # alphabet value 4 never occurs: the empty map is a generator
-        sg = semigroup_of(validate([[1, 2], [3, 1]], 4))
+        sg = semigroup_of(PreLatinSquare([[1, 2], [3, 1]], 4))
         assert PartialPermutation.empty(2) in sg
 
 
@@ -167,7 +168,7 @@ class TestGridSoundness:
 
 class TestPlsFormat:
     def test_round_trip(self):
-        square = validate([[1, 2], [3, 1]], 4)
+        square = PreLatinSquare([[1, 2], [3, 1]], 4)
         text = format_pls(square)
         assert text == "pls v1\n2 4\n1 2\n3 1\n"
         assert parse_pls(text) == square

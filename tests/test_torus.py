@@ -14,7 +14,6 @@ from hadperm.errors import FormatError, IllConditioned
 from hadperm.torus import (
     TorusMatrix,
     TorusScalar,
-    TorusVector,
     format_phm,
     fourier,
     is_partial_hadamard,
@@ -256,17 +255,17 @@ class TestIsPartialHadamard:
 class TestRowQuotient:
     def test_self_quotient_is_ones(self):
         xi = row_quotient(fourier([3]), 1, 1)
-        assert xi == TorusVector(scalars(0, 0, 0))
+        assert xi == TorusMatrix([scalars(0, 0, 0)])
 
     def test_f3_first_over_second(self):
         xi = row_quotient(fourier([3]), 1, 2)
-        assert xi == TorusVector(scalars(0, (2, 3), (1, 3)))
+        assert xi == TorusMatrix([scalars(0, (2, 3), (1, 3))])
 
     def test_all_ones_denominator(self):
         h = parse_phm("phm v1\n2 4\n1 1 1 1\n1 i -1 -i\n")
         xi = row_quotient(h, 2, 1)
-        assert xi == TorusVector(
-            [TorusScalar.from_token(t) for t in ["1", "i", "-1", "-i"]]
+        assert xi == TorusMatrix(
+            [[TorusScalar.from_token(t) for t in ["1", "i", "-1", "-i"]]]
         )
 
     def test_exactness_preserved(self):
