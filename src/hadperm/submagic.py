@@ -156,8 +156,8 @@ def grid_from_hadamard(h: TorusMatrix, *, tol: float = DEFAULT_TOL) -> ProjGrid:
 def check_grid(grid: ProjGrid, tol: float = DEFAULT_TOL) -> GridReport:
     """Certify the submagic, magic and commuting properties at ``tol``.
 
-    The reported commutator is the exact maximum over all pairs of blocks,
-    with no switch on the grid size.
+    The reported commutator is the exact maximum over all pairs of blocks at
+    every grid size.
     """
     m, d = grid.size, grid.dim
     blocks = grid.blocks
