@@ -62,7 +62,6 @@ from .submagic import (
 from .torus import (
     HadamardReport,
     TorusMatrix,
-    TorusScalar,
     fourier,
     is_partial_hadamard,
     minor_det,

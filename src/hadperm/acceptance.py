@@ -11,6 +11,7 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable
 
 import numpy as np
@@ -79,17 +80,9 @@ def _random_balanced_row(n_pairs: int, rng: np.random.Generator) -> np.ndarray:
 def m2_family_matrix() -> torus.TorusMatrix:
     """The exact instance [[1,1,1,1],[1,i,-1,-i]]; its second row sums to
     zero and has square-sum zero, so the induced grid commutes."""
-    one = torus.TorusScalar.from_phase(0)
-    return torus.TorusMatrix(
-        [
-            [one, one, one, one],
-            [
-                torus.TorusScalar.from_phase(0),
-                torus.TorusScalar.from_token("i"),
-                torus.TorusScalar.from_token("-1"),
-                torus.TorusScalar.from_token("-i"),
-            ],
-        ]
+    quarter = Fraction(1, 4)
+    return torus.TorusMatrix.from_phases(
+        [[0, 0, 0, 0], [0, quarter, 2 * quarter, 3 * quarter]]
     )
 
 

@@ -30,10 +30,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import torus
 from ._linalg import DEFAULT_TOL, spectral_norm
 from .errors import IllConditioned, NotCompletable, NotHadamard
 from .submagic import complete_last, grid_from_hadamard
-from .torus import TorusMatrix, TorusScalar, is_partial_hadamard, minor_det
+from .torus import TorusMatrix, is_partial_hadamard, minor_det
 
 __all__ = [
     "CriteriaReport",
@@ -193,12 +194,11 @@ def complete_row(h: TorusMatrix, *, tol: float = DEFAULT_TOL) -> TorusMatrix:
     data = _kernel(h, minors, tol)
     row = n ** (1.0 - n / 2.0) * data.z
     try:
-        new_row = [TorusScalar.from_complex(z) for z in row]
+        return torus._stack(h, row[None, :])
     except ValueError as exc:
         raise NotCompletable(
             f"appended row is not unit-modulus: {exc}", witness=profile
         ) from exc
-    return TorusMatrix(list(h.entries) + [new_row])
 
 
 def gram_criterion(h: TorusMatrix, tol: float = DEFAULT_TOL) -> bool:

@@ -42,7 +42,6 @@ __all__ = [
     "asymptotic_ratio",
     "parse_pperm",
     "format_pperm",
-    "parse_semigroup",
     "format_semigroup",
 ]
 
@@ -399,30 +398,3 @@ def format_semigroup(semigroup: Semigroup) -> str:
     lines = [f"semigroup {semigroup.size} {len(semigroup)}"]
     lines.extend(format_pperm(e) for e in semigroup)
     return "\n".join(lines) + "\n"
-
-
-def parse_semigroup(text: str) -> Semigroup:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise FormatError("empty semigroup document")
-    head = lines[0].split()
-    if len(head) != 3 or head[0] != "semigroup":
-        raise FormatError("expected 'semigroup M order' header")
-    try:
-        size, count = int(head[1]), int(head[2])
-    except ValueError as exc:
-        raise FormatError("bad semigroup header") from exc
-    elements = [parse_pperm(ln) for ln in lines[1:]]
-    if len(elements) != count:
-        raise FormatError(f"expected {count} elements, got {len(elements)}")
-    members = set(elements)
-    if len(members) != len(elements):
-        raise FormatError("duplicate elements")
-    for e in elements:
-        if e.size != size:
-            raise FormatError("element size disagrees with header")
-    for a in elements:
-        for b in elements:
-            if compose(a, b) not in members:
-                raise FormatError("element set is not closed under composition")
-    return Semigroup(size, elements, elements)

@@ -17,6 +17,7 @@ everywhere and is overridable.
 
 from __future__ import annotations
 
+import cmath
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -579,9 +580,12 @@ def _parse_pair(token: str) -> complex:
         raise FormatError(f"expected '(a,b)' token, got {token!r}")
     re_part, _, im_part = token[1:-1].partition(",")
     try:
-        return complex(float(re_part), float(im_part))
+        value = complex(float(re_part), float(im_part))
     except ValueError as exc:
         raise FormatError(f"bad complex token {token!r}") from exc
+    if not cmath.isfinite(value):
+        raise FormatError(f"non-finite complex token {token!r}")
+    return value
 
 
 def format_pgrid(grid: ProjGrid) -> str:

@@ -3,11 +3,12 @@
 Fourier matrices, tensor products, row quotients, partial Hadamard
 certification, minor determinants, and the ``.phm`` text format.
 
-Entries carry a dual representation: an exact reduced rational phase p/q
-standing for e^(2*pi*i*p/q) whenever the entry is a root of unity, and a
-plain unit-modulus complex float otherwise.  Exact entries stay exact under
-products, quotients and conjugation, so root-of-unity matrices round-trip
-through ``.phm`` files bit-exactly.
+A :class:`TorusMatrix` is a read-only complex array plus, for each entry that
+is a root of unity, its exact reduced phase p/q standing for
+e^(2*pi*i*p/q), held in two integer arrays (a denominator of 0 marks a float
+entry).  Exact entries stay exact under tensor products and row quotients,
+and their values come from the exact phase, so root-of-unity matrices
+round-trip through ``.phm`` files bit-exactly.
 
 Inner products are unnormalized and linear in the first argument:
 ``<x, y> = sum_l x[l] * conj(y[l])``.  Two rows of an M x N partial Hadamard
@@ -30,7 +31,6 @@ from ._linalg import DEFAULT_TOL
 from .errors import FormatError, IllConditioned
 
 __all__ = [
-    "TorusScalar",
     "TorusMatrix",
     "HadamardReport",
     "fourier",
@@ -49,163 +49,63 @@ __all__ = [
 CONSTRUCTION_TOL = 1e-6
 
 _QUARTER_VALUES = (1 + 0j, 1j, -1 + 0j, -1j)
-_PHASE_TOKENS = {
-    Fraction(0): "1",
-    Fraction(1, 2): "-1",
-    Fraction(1, 4): "i",
-    Fraction(3, 4): "-i",
-}
-_TOKEN_PHASES = {token: phase for phase, token in _PHASE_TOKENS.items()}
+_TOKEN_PHASES = {"1": (0, 1), "-1": (1, 2), "i": (1, 4), "-i": (3, 4)}
+_PHASE_TOKENS = {phase: token for token, phase in _TOKEN_PHASES.items()}
 _FRACTION_RE = re.compile(r"[+-]?\d+/\d+\Z")
 _PAIR_RE = re.compile(r"\((?P<re>[^,]+),(?P<im>[^,]+)\)\Z")
 
 
-def _phase_value(phase: Fraction) -> complex:
+def _phase_value(p: int, q: int) -> complex:
     # Quarter turns are exact in binary floating point; everything else goes
     # through cos/sin of the reduced angle.
-    quarters, rem = divmod(4 * phase.numerator, phase.denominator)
+    quarters, rem = divmod(4 * p, q)
     if rem == 0:
         return _QUARTER_VALUES[quarters % 4]
-    angle = 2.0 * math.pi * phase.numerator / phase.denominator
+    angle = 2.0 * math.pi * p / q
     return complex(math.cos(angle), math.sin(angle))
-
-
-class TorusScalar:
-    """A complex number of modulus one.
-
-    ``phase`` is the reduced fraction p/q (0 <= p < q) with value
-    e^(2*pi*i*p/q) for exact scalars and ``None`` for float scalars;
-    ``value`` is always the complex realization.  Equality is decidable and
-    representation-aware: exact scalars compare by phase, float scalars by
-    bit-exact value, and the two representations never compare equal.  Use
-    :meth:`isclose` for numeric comparison.
-    """
-
-    __slots__ = ("phase", "value")
-
-    def __init__(self, phase: Fraction | None, value: complex):
-        self.phase = phase
-        self.value = value
-
-    @classmethod
-    def from_phase(cls, phase: Fraction | int) -> "TorusScalar":
-        frac = Fraction(phase) % 1
-        return cls(frac, _phase_value(frac))
-
-    @classmethod
-    def from_complex(cls, value: complex, tol: float = CONSTRUCTION_TOL) -> "TorusScalar":
-        value = complex(value)
-        if abs(abs(value) - 1.0) > tol:
-            raise ValueError(f"not unit modulus within {tol}: {value!r}")
-        return cls(None, value)
-
-    @property
-    def is_exact(self) -> bool:
-        return self.phase is not None
-
-    def conjugate(self) -> "TorusScalar":
-        if self.phase is not None:
-            return TorusScalar.from_phase(-self.phase)
-        return TorusScalar(None, self.value.conjugate())
-
-    def __mul__(self, other: "TorusScalar") -> "TorusScalar":
-        if self.phase is not None and other.phase is not None:
-            return TorusScalar.from_phase(self.phase + other.phase)
-        return TorusScalar(None, self.value * other.value)
-
-    def __truediv__(self, other: "TorusScalar") -> "TorusScalar":
-        if self.phase is not None and other.phase is not None:
-            return TorusScalar.from_phase(self.phase - other.phase)
-        return TorusScalar(None, self.value / other.value)
-
-    def __complex__(self) -> complex:
-        return self.value
-
-    def isclose(self, other: "TorusScalar", tol: float = DEFAULT_TOL) -> bool:
-        return abs(self.value - other.value) <= tol
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TorusScalar):
-            return NotImplemented
-        if self.phase is not None and other.phase is not None:
-            return self.phase == other.phase
-        if self.phase is None and other.phase is None:
-            return self.value == other.value
-        return False
-
-    def __hash__(self) -> int:
-        if self.phase is not None:
-            return hash(("exact", self.phase))
-        return hash(("float", self.value))
-
-    def token(self) -> str:
-        """Canonical ``.phm`` token for this scalar."""
-        if self.phase is not None:
-            short = _PHASE_TOKENS.get(self.phase)
-            if short is not None:
-                return short
-            return f"{self.phase.numerator}/{self.phase.denominator}"
-        return f"({self.value.real!r},{self.value.imag!r})"
-
-    @classmethod
-    def from_token(cls, token: str, tol: float = CONSTRUCTION_TOL) -> "TorusScalar":
-        phase = _TOKEN_PHASES.get(token)
-        if phase is not None:
-            return cls.from_phase(phase)
-        if _FRACTION_RE.fullmatch(token):
-            num, den = token.split("/")
-            q = int(den)
-            if q < 1:
-                raise FormatError(f"denominator must be positive in {token!r}")
-            return cls.from_phase(Fraction(int(num), q))
-        pair = _PAIR_RE.fullmatch(token)
-        if pair:
-            try:
-                re_part = float(pair.group("re"))
-                im_part = float(pair.group("im"))
-            except ValueError as exc:
-                raise FormatError(f"bad complex token {token!r}") from exc
-            try:
-                return cls.from_complex(complex(re_part, im_part), tol)
-            except ValueError as exc:
-                raise FormatError(str(exc)) from exc
-        raise FormatError(f"unrecognized scalar token {token!r}")
-
-    def __repr__(self) -> str:
-        return f"TorusScalar({self.token()})"
 
 
 class TorusMatrix:
     """An M x N matrix of unit-modulus entries.
 
-    Immutable after construction.  ``to_complex`` returns a cached read-only
-    complex array; ``entries`` holds the scalar objects row by row.
+    Immutable.  ``to_complex`` returns the read-only complex array.  An exact
+    entry also carries its phase p/q (0 <= p < q, reduced), read with
+    :meth:`phase`; a float entry has none.  Equality is representation-aware:
+    exact entries compare by phase, float entries by value, and an exact
+    entry never equals a float one.  Build with :meth:`from_phases`,
+    :meth:`from_complex` or :func:`parse_phm`.
     """
 
-    __slots__ = ("entries", "rows", "cols", "_array")
+    __slots__ = ("rows", "cols", "_array", "_num", "_den")
 
-    def __init__(self, entries: Sequence[Sequence[TorusScalar]]):
-        normalized = tuple(tuple(row) for row in entries)
-        if not normalized or not normalized[0]:
+    def __init__(self, *args, **kwargs):
+        raise TypeError(
+            "build a TorusMatrix with from_phases, from_complex or parse_phm"
+        )
+
+    @classmethod
+    def from_phases(cls, phases: Sequence[Sequence[Fraction | int]]) -> "TorusMatrix":
+        """The exact matrix with entries e^(2*pi*i*p) for the rational phases
+        p (taken mod 1)."""
+        rows = [[Fraction(p) for p in row] for row in phases]
+        if not rows or not rows[0]:
             raise ValueError("matrix must be nonempty")
-        width = len(normalized[0])
-        if any(len(row) != width for row in normalized):
+        if any(len(row) != len(rows[0]) for row in rows):
             raise ValueError("all rows must have the same length")
-        self.entries = normalized
-        self.rows = len(normalized)
-        self.cols = width
-        arr = np.array([[e.value for e in row] for row in normalized], dtype=complex)
-        arr.setflags(write=False)
-        self._array = arr
+        num = np.array([[f.numerator for f in row] for row in rows], dtype=object)
+        den = np.array([[f.denominator for f in row] for row in rows], dtype=object)
+        return _build(num, den)
 
     @classmethod
     def from_complex(cls, array, tol: float = CONSTRUCTION_TOL) -> "TorusMatrix":
-        arr = np.asarray(array, dtype=complex)
+        arr = np.array(array, dtype=complex)
         if arr.ndim != 2:
             raise ValueError("expected a 2-D array")
-        return cls(
-            [[TorusScalar.from_complex(z, tol) for z in row] for row in arr]
-        )
+        if arr.size == 0:
+            raise ValueError("matrix must be nonempty")
+        _check_unit(arr, tol)
+        zeros = np.zeros(arr.shape, dtype=object)
+        return _trusted(arr, zeros, zeros)
 
     def to_complex(self) -> np.ndarray:
         """Read-only complex view of the matrix."""
@@ -213,23 +113,92 @@ class TorusMatrix:
 
     @property
     def is_exact(self) -> bool:
-        return all(e.is_exact for row in self.entries for e in row)
+        return bool((self._den != 0).all())
 
-    def entry(self, i: int, j: int) -> TorusScalar:
-        """Entry at 1-based position (i, j)."""
+    def phase(self, i: int, j: int) -> Fraction | None:
+        """Exact phase p/q of the entry at 1-based position (i, j), ``None``
+        for a float entry."""
         if not (1 <= i <= self.rows and 1 <= j <= self.cols):
             raise ValueError(f"index ({i},{j}) out of range")
-        return self.entries[i - 1][j - 1]
+        q = self._den[i - 1, j - 1]
+        return Fraction(self._num[i - 1, j - 1], q) if q else None
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, TorusMatrix):
             return NotImplemented
-        return self.entries == other.entries
+        if self._array.shape != other._array.shape:
+            return False
+        floats = self._den == 0
+        return bool(
+            np.array_equal(self._den, other._den)
+            and np.array_equal(self._num, other._num)
+            and (self._array[floats] == other._array[floats]).all()
+        )
 
     __hash__ = None  # mutable-feeling value container; compare, don't hash
 
     def __repr__(self) -> str:
         return f"TorusMatrix({self.rows}x{self.cols}, exact={self.is_exact})"
+
+
+def _trusted(values: np.ndarray, num: np.ndarray, den: np.ndarray) -> TorusMatrix:
+    """Wrap arrays this module built and knows to be consistent: a complex
+    array, and object arrays of reduced phases num/den (0/0 on float entries)
+    whose exact entries have the values ``_phase_value`` gives.  Skips the
+    checks of the public constructors."""
+    h = object.__new__(TorusMatrix)
+    for arr in (values, num, den):
+        arr.setflags(write=False)
+    h.rows, h.cols = values.shape
+    h._array, h._num, h._den = values, num, den
+    return h
+
+
+def _build(
+    num: np.ndarray, den: np.ndarray, values: np.ndarray | None = None
+) -> TorusMatrix:
+    """The matrix of the phases num/den (object arrays), reduced here.
+
+    Entries with den 0 are float and keep their value from the writable
+    complex array ``values``; exact entries get theirs from one cos/sin per
+    distinct phase.
+    """
+    g = np.gcd(num, den)
+    g[g == 0] = 1  # float entries, 0/0
+    num, den = num // g, den // g
+    num %= np.maximum(den, 1)
+    if values is None:
+        values = np.empty(den.shape, dtype=complex)
+    exact = den != 0
+    if exact.any():
+        p, q = num[exact], den[exact]
+        # q*q + p is one integer per reduced phase, as 0 <= p < q
+        _, first, inverse = np.unique(q * q + p, return_index=True, return_inverse=True)
+        pairs = zip(p[first].tolist(), q[first].tolist())
+        table = [_phase_value(a, b) for a, b in pairs]
+        values[exact] = np.array(table, dtype=complex)[inverse]
+    return _trusted(values, num, den)
+
+
+def _check_unit(arr: np.ndarray, tol: float) -> None:
+    # Written so that NaN fails: every comparison with NaN is False.
+    bad = ~(np.abs(np.abs(arr) - 1.0) <= tol)
+    if bad.any():
+        value = complex(arr[np.unravel_index(int(np.argmax(bad)), bad.shape)])
+        raise ValueError(f"not unit modulus within {tol}: {value!r}")
+
+
+def _stack(h: TorusMatrix, rows) -> TorusMatrix:
+    """``h`` with the float ``rows`` appended, checked for unit modulus as
+    :meth:`TorusMatrix.from_complex` checks them (ValueError otherwise)."""
+    rows = np.array(rows, dtype=complex)
+    _check_unit(rows, CONSTRUCTION_TOL)
+    zeros = np.zeros(rows.shape, dtype=object)
+    return _trusted(
+        np.vstack([h._array, rows]),
+        np.vstack([h._num, zeros]),
+        np.vstack([h._den, zeros]),
+    )
 
 
 @dataclass(frozen=True)
@@ -267,22 +236,22 @@ def fourier(orders: Sequence[int]) -> TorusMatrix:
 
 
 def _fourier_single(n: int) -> TorusMatrix:
-    return TorusMatrix(
-        [[TorusScalar.from_phase(Fraction(j * k, n)) for k in range(n)] for j in range(n)]
-    )
+    r = np.arange(n, dtype=object)
+    return _build(np.outer(r, r), np.full((n, n), n, dtype=object))
 
 
 def tensor(h: TorusMatrix, k: TorusMatrix) -> TorusMatrix:
     """Tensor product with lexicographic double indices (h index outer).
 
     ``(h (x) k)[(i,a), (j,b)] = h[i,j] * k[a,b]``; the tensor product of two
-    partial Hadamard matrices is again partial Hadamard.
+    partial Hadamard matrices is again partial Hadamard.  Phases add where
+    both entries are exact; the other entries multiply as complex floats.
     """
-    rows = []
-    for hrow in h.entries:
-        for krow in k.entries:
-            rows.append([he * ke for he in hrow for ke in krow])
-    return TorusMatrix(rows)
+    return _build(
+        np.kron(h._num, k._den) + np.kron(h._den, k._num),
+        np.kron(h._den, k._den),
+        np.kron(h._array, k._array),
+    )
 
 
 def is_partial_hadamard(h: TorusMatrix, tol: float = DEFAULT_TOL) -> HadamardReport:
@@ -321,9 +290,12 @@ def row_quotient(h: TorusMatrix, i: int, j: int) -> TorusMatrix:
     """
     if not (1 <= i <= h.rows and 1 <= j <= h.rows):
         raise ValueError(f"row indices ({i},{j}) out of range")
-    top = h.entries[i - 1]
-    bottom = h.entries[j - 1]
-    return TorusMatrix([[t / b for t, b in zip(top, bottom)]])
+    a, b = i - 1, j - 1
+    return _build(
+        (h._num[a] * h._den[b] - h._num[b] * h._den[a])[None],
+        (h._den[a] * h._den[b])[None],
+        (h._array[a] / h._array[b])[None],
+    )
 
 
 def minor_det(h: TorusMatrix, j: int, *, rel_tol: float = 1e-6) -> complex:
@@ -383,19 +355,58 @@ def parse_phm(text: str, *, tol: float = CONSTRUCTION_TOL) -> TorusMatrix:
     body = payload[2:]
     if len(body) != m:
         raise FormatError(f"expected {m} matrix rows, found {len(body)}")
-    entries = []
+    nums, dens, values = [], [], []
     for line in body:
         tokens = line.split()
         if len(tokens) != n:
             raise FormatError(f"expected {n} tokens per row, got {len(tokens)}")
-        entries.append([TorusScalar.from_token(tok, tol) for tok in tokens])
-    return TorusMatrix(entries)
+        for tok in tokens:
+            p, q, z = _parse_token(tok, tol)
+            nums.append(p)
+            dens.append(q)
+            values.append(z)
+    return _build(
+        np.array(nums, dtype=object).reshape(m, n),
+        np.array(dens, dtype=object).reshape(m, n),
+        np.array(values, dtype=complex).reshape(m, n),
+    )
+
+
+def _parse_token(token: str, tol: float) -> tuple[int, int, complex]:
+    """(p, q, 0) for an exact token, (0, 0, value) for a float one."""
+    phase = _TOKEN_PHASES.get(token)
+    if phase is not None:
+        return phase[0], phase[1], 0j
+    if _FRACTION_RE.fullmatch(token):
+        num, den = token.split("/")
+        q = int(den)
+        if q < 1:
+            raise FormatError(f"denominator must be positive in {token!r}")
+        return int(num), q, 0j
+    pair = _PAIR_RE.fullmatch(token)
+    if pair:
+        try:
+            value = complex(float(pair.group("re")), float(pair.group("im")))
+        except ValueError as exc:
+            raise FormatError(f"bad complex token {token!r}") from exc
+        # Written so that NaN fails: every comparison with NaN is False.
+        if not abs(abs(value) - 1.0) <= tol:
+            raise FormatError(f"not unit modulus within {tol}: {value!r}")
+        return 0, 0, value
+    raise FormatError(f"unrecognized scalar token {token!r}")
 
 
 def format_phm(h: TorusMatrix) -> str:
     lines = ["phm v1", f"{h.rows} {h.cols}"]
-    for row in h.entries:
-        lines.append(" ".join(e.token() for e in row))
+    for nums, dens, values in zip(h._num.tolist(), h._den.tolist(), h._array.tolist()):
+        lines.append(
+            " ".join(
+                (_PHASE_TOKENS.get((p, q)) or f"{p}/{q}")
+                if q
+                else f"({z.real!r},{z.imag!r})"
+                for p, q, z in zip(nums, dens, values)
+            )
+        )
     return "\n".join(lines) + "\n"
 
 

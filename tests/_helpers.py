@@ -9,13 +9,13 @@ import numpy as np
 
 from hadperm._linalg import spectral_norm
 from hadperm.pperm import compose
-from hadperm.torus import TorusMatrix, TorusScalar, fourier
+from hadperm.torus import TorusMatrix
 
 
-def random_exact_scalar(rng: np.random.Generator, max_den: int = 9) -> TorusScalar:
+def random_phase(rng: np.random.Generator, max_den: int = 9) -> Fraction:
     q = int(rng.integers(1, max_den + 1))
     p = int(rng.integers(0, q))
-    return TorusScalar.from_phase(Fraction(p, q))
+    return Fraction(p, q)
 
 
 def exact_randomized_fourier(
@@ -23,25 +23,32 @@ def exact_randomized_fourier(
 ) -> TorusMatrix:
     """Exact n x n Hadamard matrix: the Fourier matrix with random
     root-of-unity row/column scalings and random row/column permutations."""
-    base = fourier([n]).entries
-    row_scale = [random_exact_scalar(rng, max_den) for _ in range(n)]
-    col_scale = [random_exact_scalar(rng, max_den) for _ in range(n)]
+    row_scale = [random_phase(rng, max_den) for _ in range(n)]
+    col_scale = [random_phase(rng, max_den) for _ in range(n)]
     rows = rng.permutation(n)
     cols = rng.permutation(n)
-    return TorusMatrix(
+    return TorusMatrix.from_phases(
         [
-            [row_scale[i] * base[rows[i]][cols[j]] * col_scale[j] for j in range(n)]
+            [
+                row_scale[i] + Fraction(int(rows[i] * cols[j]), n) + col_scale[j]
+                for j in range(n)
+            ]
             for i in range(n)
         ]
     )
 
 
+def phases(h: TorusMatrix) -> list[list[Fraction | None]]:
+    return [[h.phase(i, j) for j in range(1, h.cols + 1)] for i in range(1, h.rows + 1)]
+
+
 def drop_last_row(h: TorusMatrix) -> TorusMatrix:
-    return TorusMatrix(h.entries[:-1])
+    return take_rows(h, h.rows - 1)
 
 
 def take_rows(h: TorusMatrix, count: int) -> TorusMatrix:
-    return TorusMatrix(h.entries[:count])
+    """The first ``count`` rows of an exact matrix."""
+    return TorusMatrix.from_phases(phases(h)[:count])
 
 
 def brute_force_closure(generators) -> set:

@@ -101,6 +101,26 @@ class TestCompleteRow:
         assert "constant" in err
 
 
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("command", ["check", "grid", "complete-row", "criteria"])
+    def test_nan_phm_token_is_a_usage_error(self, capsys, tmp_path, command):
+        path = tmp_path / "nan.phm"
+        path.write_text("phm v1\n2 3\n1 1 1\n1 (nan,0.0) 2/3\n", encoding="utf-8")
+        code, out, err = run(capsys, command, path)
+        assert code == 2
+        assert out == ""
+        assert "not unit modulus" in err
+
+    def test_nan_pgrid_token_is_a_usage_error(self, capsys, tmp_path):
+        text = (DATA / "pq_counterexample.pgrid").read_text(encoding="utf-8")
+        path = tmp_path / "nan.pgrid"
+        path.write_text(text.replace("(1.0,0.0)", "(nan,0.0)", 1), encoding="utf-8")
+        code, out, err = run(capsys, "complete-grid", path)
+        assert code == 2
+        assert out == ""
+        assert "non-finite" in err
+
+
 class TestGrid:
     def test_m2_family_reports_semigroup(self, capsys):
         code, out, _ = run(capsys, "grid", DATA / "m2_family.phm")

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from _helpers import drop_last_row, exact_randomized_fourier, take_rows
+from _helpers import drop_last_row, exact_randomized_fourier, phases, take_rows
 from hadperm import completion
 from hadperm.completion import (
     complete_row,
@@ -137,7 +137,9 @@ class TestCompleteRow:
     def test_original_rows_bit_exact(self):
         h = f3_top2()
         completed = complete_row(h)
-        assert completed.entries[:2] == h.entries
+        assert phases(completed)[:2] == phases(h)
+        assert np.array_equal(completed.to_complex()[:2], h.to_complex())
+        assert phases(completed)[2] == [None] * 3
         assert not completed.is_exact
 
     def test_unit_rows_when_profile_is_hadamard(self):
@@ -206,6 +208,21 @@ class TestCriteriaBridge:
                     except NotCompletable:
                         border = False
                     assert gram == border == expected
+
+    def test_border_corner_is_the_gram_matrix(self):
+        # The total sum of the loose-certified grid of an (N-1) x N input,
+        # less (M-1) I, is G - (N-2) I, the matrix of the Gram test.
+        rng = np.random.default_rng(101)
+        for n in range(3, 9):
+            for _ in range(4):
+                h = drop_last_row(exact_randomized_fourier(n, rng))
+                i, j = int(rng.integers(n - 1)), int(rng.integers(n))
+                for matrix in (h, perturb(h, i, j)):
+                    a = matrix.to_complex()
+                    q = np.abs(a.conj().T @ a) ** 2 / n - (n - 2) * np.eye(n)
+                    total = grid_from_hadamard(matrix, tol=0.1).total_sum()
+                    corner = total - (matrix.rows - 1) * np.eye(n)
+                    assert np.abs(corner - q).max() <= 1e-13
 
     def test_positive_completion_certifies_magic(self):
         rng = np.random.default_rng(89)

@@ -491,3 +491,8 @@ class TestPgridFormat:
             parse_pgrid("pgrid v1\n1 2\n(1.0,0.0) (0.0,0.0)\n")
         with pytest.raises(FormatError):
             parse_pgrid("pgrid v1\n1 1\nxyz\n")
+
+    @pytest.mark.parametrize("tok", ["(nan,0.0)", "(0.0,nan)", "(inf,0.0)", "(0.0,-inf)"])
+    def test_non_finite_tokens_rejected(self, tok):
+        with pytest.raises(FormatError, match="non-finite"):
+            parse_pgrid(f"pgrid v1\n1 1\n{tok}\n")

@@ -1,4 +1,4 @@
-"""Unit-circle matrices: exact scalars, Fourier and tensor constructions,
+"""Unit-circle matrices: exact and float entries, Fourier and tensor constructions,
 partial Hadamard certification, row quotients, minor determinants, and the
 .phm format."""
 
@@ -9,11 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _helpers import drop_last_row, exact_randomized_fourier, take_rows
+from _helpers import drop_last_row, exact_randomized_fourier, phases, take_rows
 from hadperm.errors import FormatError, IllConditioned
 from hadperm.torus import (
     TorusMatrix,
-    TorusScalar,
     format_phm,
     fourier,
     is_partial_hadamard,
@@ -29,8 +28,15 @@ DATA = Path(__file__).resolve().parent.parent / "data"
 W3 = np.exp(2j * np.pi / 3)
 
 
-def scalars(*phases):
-    return [TorusScalar.from_phase(Fraction(*p) if isinstance(p, tuple) else p) for p in phases]
+def one_row(*phases):
+    return TorusMatrix.from_phases(
+        [[Fraction(*p) if isinstance(p, tuple) else p for p in phases]]
+    )
+
+
+def token(tok: str) -> str:
+    """The canonical token of a one-entry ``.phm`` matrix with entry ``tok``."""
+    return format_phm(parse_phm(f"phm v1\n1 1\n{tok}\n")).splitlines()[2]
 
 
 # --------------------------------------------------------------------------
@@ -83,64 +89,100 @@ def _cyclotomic_det(phases) -> complex:
     )
 
 
-class TestTorusScalar:
+class TestEntries:
     def test_exact_product_and_quotient(self):
-        a = TorusScalar.from_phase(Fraction(1, 3))
-        b = TorusScalar.from_phase(Fraction(1, 2))
-        assert (a * b).phase == Fraction(5, 6)
-        assert (a / b).phase == Fraction(5, 6)
-        assert (b / a).phase == Fraction(1, 6)
-        assert a.conjugate().phase == Fraction(2, 3)
+        a = one_row((1, 3))
+        b = one_row((1, 2))
+        assert tensor(a, b).phase(1, 1) == Fraction(5, 6)
+        column = TorusMatrix.from_phases([[Fraction(1, 3)], [Fraction(1, 2)]])
+        assert row_quotient(column, 1, 2).phase(1, 1) == Fraction(5, 6)
+        assert row_quotient(column, 2, 1).phase(1, 1) == Fraction(1, 6)
+        ones = TorusMatrix.from_phases([[0], [Fraction(1, 3)]])
+        assert row_quotient(ones, 1, 2).phase(1, 1) == Fraction(2, 3)  # conjugate
 
     def test_quarter_turns_are_bit_exact(self):
-        assert TorusScalar.from_phase(0).value == 1 + 0j
-        assert TorusScalar.from_phase(Fraction(1, 4)).value == 1j
-        assert TorusScalar.from_phase(Fraction(1, 2)).value == -1 + 0j
-        assert TorusScalar.from_phase(Fraction(3, 4)).value == -1j
-        assert TorusScalar.from_phase(Fraction(3, 2)).phase == Fraction(1, 2)
+        h = one_row(0, (1, 4), (1, 2), (3, 4), (3, 2))
+        assert h.to_complex().tolist() == [[1 + 0j, 1j, -1 + 0j, -1j, -1 + 0j]]
+        assert h.phase(1, 5) == Fraction(1, 2)
 
     def test_mixed_arithmetic_demotes_to_float(self):
-        exact = TorusScalar.from_phase(Fraction(1, 3))
-        approx = TorusScalar.from_complex(np.exp(0.7j))
-        assert not (exact * approx).is_exact
-        assert abs((exact * approx).value - exact.value * approx.value) == 0.0
+        exact = one_row((1, 3))
+        approx = TorusMatrix.from_complex([[np.exp(0.7j)]])
+        product = tensor(exact, approx)
+        assert not product.is_exact
+        assert product.phase(1, 1) is None
+        assert np.array_equal(
+            product.to_complex(), np.multiply(exact.to_complex(), approx.to_complex())
+        )
 
     def test_equality_is_representation_aware(self):
-        exact = TorusScalar.from_phase(0)
-        floaty = TorusScalar.from_complex(1.0 + 0.0j)
-        assert exact == TorusScalar.from_phase(Fraction(2, 2))
+        exact = one_row(0)
+        floaty = TorusMatrix.from_complex([[1.0 + 0.0j]])
+        assert exact == one_row((2, 2))
         assert exact != floaty
-        assert floaty == TorusScalar.from_complex(1.0 + 0.0j)
-        assert exact.isclose(floaty)
-        assert hash(exact) == hash(TorusScalar.from_phase(0))
+        assert floaty == TorusMatrix.from_complex([[1.0 + 0.0j]])
+        assert np.array_equal(exact.to_complex(), floaty.to_complex())
+        assert exact != one_row(0, 0)
+        with pytest.raises(TypeError):
+            hash(exact)
 
     def test_from_complex_rejects_non_unit(self):
-        with pytest.raises(ValueError):
-            TorusScalar.from_complex(1.1 + 0j)
+        for value in (1.1, math.nan, complex(0.0, math.nan), math.inf):
+            with pytest.raises(ValueError, match="not unit modulus"):
+                TorusMatrix.from_complex([[1.0, value]])
 
     def test_token_round_trip(self):
         for tok in ["1", "-1", "i", "-i", "2/7", "5/6"]:
-            assert TorusScalar.from_token(tok).token() == tok
-        assert TorusScalar.from_token("3/6").token() == "-1"
-        assert TorusScalar.from_token("-1/4").token() == "-i"
-        f = TorusScalar.from_complex(np.exp(0.3j))
-        assert TorusScalar.from_token(f.token()) == f
+            assert token(tok) == tok
+        assert token("3/6") == "-1"
+        assert token("-1/4") == "-i"
+        f = TorusMatrix.from_complex([[np.exp(0.3j)]])
+        assert parse_phm(format_phm(f)) == f
         with pytest.raises(FormatError):
-            TorusScalar.from_token("bogus")
+            token("bogus")
         with pytest.raises(FormatError):
-            TorusScalar.from_token("(2.0,0.0)")
+            token("(2.0,0.0)")
+
+    def test_constructors_check_shape(self):
+        with pytest.raises(TypeError):
+            TorusMatrix([[1]])
+        with pytest.raises(ValueError):
+            TorusMatrix.from_phases([])
+        with pytest.raises(ValueError):
+            TorusMatrix.from_phases([[0, 0], [0]])
+        with pytest.raises(ValueError):
+            TorusMatrix.from_complex(np.ones(3))
+        with pytest.raises(ValueError):
+            TorusMatrix.from_complex(np.ones((0, 3)))
+
+    def test_from_complex_copies_its_input(self):
+        a = np.ones((1, 2), dtype=complex)
+        h = TorusMatrix.from_complex(a)
+        a[0, 0] = -1
+        assert h.to_complex()[0, 0] == 1
+        assert not h.to_complex().flags.writeable
+
+    def test_phase_index_validation(self):
+        with pytest.raises(ValueError):
+            fourier([2]).phase(3, 1)
+
+    def test_huge_denominators_stay_exact(self):
+        q = 18446744073709551617  # 2**64 + 1, beyond every fixed-width integer
+        h = parse_phm(f"phm v1\n1 2\n1/{q} -1\n")
+        assert h.phase(1, 1) == Fraction(1, q)
+        t = tensor(h, h)
+        assert t.is_exact
+        assert format_phm(t) == f"phm v1\n1 4\n2/{q} {q + 2}/{2 * q} {q + 2}/{2 * q} 1\n"
+        assert parse_phm(format_phm(t)) == t
+        assert row_quotient(t, 1, 1) == one_row(0, 0, 0, 0)
 
 
 class TestFourier:
     def test_f2(self):
-        f2 = fourier([2])
-        assert f2.entries == (
-            tuple(scalars(0, 0)),
-            tuple(scalars(0, (1, 2))),
-        )
+        assert fourier([2]) == TorusMatrix.from_phases([[0, 0], [0, Fraction(1, 2)]])
 
     def test_f1_is_identity_case(self):
-        assert fourier([1]).entries == (tuple(scalars(0)),)
+        assert fourier([1]) == one_row(0)
 
     def test_f2_tensor_f2_rows(self):
         got = fourier([2, 2]).to_complex()
@@ -192,13 +234,25 @@ class TestTensor:
             for a in range(2):
                 for j in range(3):
                     for b in range(2):
-                        entry = t.entry(i * 2 + a + 1, j * 2 + b + 1)
-                        assert entry.phase == (
-                            h.entry(i + 1, j + 1).phase + k.entry(a + 1, b + 1).phase
+                        assert t.phase(i * 2 + a + 1, j * 2 + b + 1) == (
+                            h.phase(i + 1, j + 1) + k.phase(a + 1, b + 1)
                         ) % 1
                         assert arr[i * 2 + a, j * 2 + b] == pytest.approx(
                             ha[i, j] * ka[a, b], abs=1e-12
                         )
+
+    def test_float_entries_multiply_as_complex(self):
+        rng = np.random.default_rng(19)
+        h = TorusMatrix.from_complex(np.exp(2j * np.pi * rng.random((2, 3))))
+        k = exact_randomized_fourier(2, rng)
+        t = tensor(h, k)
+        assert phases(t) == [[None] * 6] * 4
+        ha, ka, ta = h.to_complex(), k.to_complex(), t.to_complex()
+        for i in range(2):
+            for a in range(2):
+                for j in range(3):
+                    for b in range(2):
+                        assert abs(ta[i * 2 + a, j * 2 + b] - ha[i, j] * ka[a, b]) <= 4e-16
 
     def test_preserves_partial_hadamard(self):
         rng = np.random.default_rng(11)
@@ -220,8 +274,7 @@ class TestIsPartialHadamard:
         assert report.worst_value <= 1e-14
 
     def test_equal_rows_fail(self):
-        one = TorusScalar.from_phase(0)
-        h = TorusMatrix([[one, one], [one, one]])
+        h = TorusMatrix.from_phases([[0, 0], [0, 0]])
         report = is_partial_hadamard(h)
         assert not report.ok
         assert report.worst_pair == (1, 2)
@@ -237,15 +290,13 @@ class TestIsPartialHadamard:
         assert report.worst_value == pytest.approx(oracle)
 
     def test_single_row_trivially_ok(self):
-        h = TorusMatrix([scalars(0, (1, 3), (1, 7))])
+        h = one_row(0, (1, 3), (1, 7))
         report = is_partial_hadamard(h)
         assert report.ok
         assert report.worst_pair is None
 
     def test_modulus_violation_detected(self):
-        bad = TorusScalar(None, 1.5 + 0j)  # low-level: bypasses construction check
-        one = TorusScalar.from_phase(0)
-        h = TorusMatrix([[one, bad]])
+        h = TorusMatrix.from_complex([[1.0, 1.5]], tol=1.0)  # loose construction
         report = is_partial_hadamard(h)
         assert not report.ok
         assert report.worst_entry == (1, 2)
@@ -255,18 +306,16 @@ class TestIsPartialHadamard:
 class TestRowQuotient:
     def test_self_quotient_is_ones(self):
         xi = row_quotient(fourier([3]), 1, 1)
-        assert xi == TorusMatrix([scalars(0, 0, 0)])
+        assert xi == one_row(0, 0, 0)
 
     def test_f3_first_over_second(self):
         xi = row_quotient(fourier([3]), 1, 2)
-        assert xi == TorusMatrix([scalars(0, (2, 3), (1, 3))])
+        assert xi == one_row(0, (2, 3), (1, 3))
 
     def test_all_ones_denominator(self):
         h = parse_phm("phm v1\n2 4\n1 1 1 1\n1 i -1 -i\n")
         xi = row_quotient(h, 2, 1)
-        assert xi == TorusMatrix(
-            [[TorusScalar.from_token(t) for t in ["1", "i", "-1", "-i"]]]
-        )
+        assert xi == one_row(0, (1, 4), (1, 2), (3, 4))
 
     def test_exactness_preserved(self):
         rng = np.random.default_rng(3)
@@ -319,13 +368,10 @@ class TestMinorDet:
         for n in (2, 3, 4, 5, 6):
             h = drop_last_row(exact_randomized_fourier(n, rng, max_den=6))
             for j in range(1, n + 1):
-                phases = [
-                    [e.phase for k, e in enumerate(row) if k != j - 1]
-                    for row in h.entries
-                ]
-                if not phases[0]:
+                minor = [row[: j - 1] + row[j:] for row in phases(h)]
+                if not minor[0]:
                     continue
-                exact = _cyclotomic_det(phases)
+                exact = _cyclotomic_det(minor)
                 assert minor_det(h, j) == pytest.approx(exact, abs=1e-10)
 
     def test_shape_and_index_validation(self):
@@ -336,8 +382,7 @@ class TestMinorDet:
             minor_det(h, 4)
 
     def test_singular_minor_is_ill_conditioned(self):
-        one = TorusScalar.from_phase(0)
-        h = TorusMatrix([[one] * 3, [one] * 3])
+        h = TorusMatrix.from_phases([[0] * 3, [0] * 3])
         with pytest.raises(IllConditioned):
             minor_det(h, 1)
 
@@ -361,8 +406,8 @@ class TestPhmFormat:
     def test_comments_and_shorthands(self):
         text = "# a comment\nphm v1\n# another\n2 2\n1 -1\ni -i\n"
         h = parse_phm(text)
-        assert h.entry(2, 1).phase == Fraction(1, 4)
-        assert h.entry(2, 2).phase == Fraction(3, 4)
+        assert h.phase(2, 1) == Fraction(1, 4)
+        assert h.phase(2, 2) == Fraction(3, 4)
 
     def test_errors(self):
         with pytest.raises(FormatError):
@@ -373,6 +418,11 @@ class TestPhmFormat:
             parse_phm("phm v1\n1 2\n1 1 1\n")
         with pytest.raises(FormatError):
             parse_phm("phm v1\n1 1\nxyz\n")
+
+    @pytest.mark.parametrize("tok", ["(nan,0.0)", "(0.0,nan)", "(inf,0.0)", "(1.0,1.0)"])
+    def test_non_unit_tokens_rejected(self, tok):
+        with pytest.raises(FormatError, match="not unit modulus"):
+            parse_phm(f"phm v1\n1 2\n1 {tok}\n")
 
     @pytest.mark.parametrize(
         "name", ["f2", "f3", "f4", "f5", "f6", "f3_top2", "m2_family", "not_orthogonal"]
