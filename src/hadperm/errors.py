@@ -2,6 +2,13 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "HadpermError", "FormatError", "SizeMismatch", "LimitExceeded", "NotHadamard",
+    "NotSubmagic", "NotCommuting", "NotCompletable", "DegenerateSplit", "RankError",
+    "IllConditioned", "TooManyUndefined", "Unsupported", "InvalidSquare",
+    "DuplicateInRow", "DuplicateInColumn", "OutOfAlphabet",
+]
+
 
 class HadpermError(Exception):
     """Base class for all package-specific errors."""
@@ -48,7 +55,7 @@ class NotCompletable(HadpermError):
 
 
 class DegenerateSplit(HadpermError):
-    """Joint eigenbasis refinement failed after the retry budget."""
+    """No seeded joint eigenbasis classified within the retry budget."""
 
 
 class RankError(HadpermError):

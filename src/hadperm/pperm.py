@@ -123,12 +123,6 @@ class PartialPermutation:
                 u[v - 1, j] = 1
         return u
 
-    def inverse(self) -> "PartialPermutation":
-        return invert(self)
-
-    def __mul__(self, other: "PartialPermutation") -> "PartialPermutation":
-        return compose(self, other)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, PartialPermutation):
             return NotImplemented
@@ -330,7 +324,7 @@ def embed_total(sigma: PartialPermutation, n: int) -> PartialPermutation:
     return PartialPermutation(img)
 
 
-def verify_subantipode(size: int, *, limit: int = DEFAULT_ENUM_LIMIT) -> bool:
+def verify_subantipode(size: int) -> bool:
     """Exactly verify the transpose-map identity on all partial permutations.
 
     For u_ij(sigma) = [sigma(j) = i] the identity reads
@@ -338,7 +332,7 @@ def verify_subantipode(size: int, *, limit: int = DEFAULT_ENUM_LIMIT) -> bool:
     ``u^T u u^T = u^T``.  Checked in exact integer arithmetic over every
     element of the given size.
     """
-    for sigma in enumerate_all(size, limit=limit):
+    for sigma in enumerate_all(size):
         u = sigma.matrix()
         if not np.array_equal(u.T @ u @ u.T, u.T):
             return False

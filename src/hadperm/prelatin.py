@@ -24,7 +24,6 @@ __all__ = [
     "parse_pls",
     "format_pls",
     "read_pls",
-    "write_pls",
 ]
 
 
@@ -150,7 +149,3 @@ def format_pls(square: PreLatinSquare) -> str:
 
 def read_pls(path) -> PreLatinSquare:
     return parse_pls(Path(path).read_text(encoding="utf-8"))
-
-
-def write_pls(path, square: PreLatinSquare) -> None:
-    Path(path).write_text(format_pls(square), encoding="utf-8")

@@ -62,7 +62,6 @@ __all__ = [
     "parse_pgrid",
     "format_pgrid",
     "read_pgrid",
-    "write_pgrid",
 ]
 
 _RETRY_BUDGET = 3
@@ -85,12 +84,6 @@ class ProjGrid:
         self.size = int(arr.shape[0])
         self.dim = int(arr.shape[2])
         self.blocks = arr
-
-    def block(self, i: int, j: int) -> np.ndarray:
-        """Read-only block at 1-based grid position (i, j)."""
-        if not (1 <= i <= self.size and 1 <= j <= self.size):
-            raise ValueError(f"grid index ({i},{j}) out of range")
-        return self.blocks[i - 1, j - 1]
 
     def total_sum(self) -> np.ndarray:
         """Sum of all blocks."""
@@ -145,12 +138,9 @@ def grid_from_hadamard(h: TorusMatrix, *, tol: float = DEFAULT_TOL) -> ProjGrid:
             report=report,
         )
     a = h.to_complex()
-    m, n = a.shape
-    blocks = np.empty((m, m, n, n), dtype=complex)
-    for i in range(m):
-        for j in range(m):
-            xi = a[i] / a[j]
-            blocks[i, j] = np.outer(xi, xi.conj()) / n
+    xi = a[:, None, :] / a[None, :, :]
+    blocks = xi[..., :, None] * xi.conj()[..., None, :]
+    blocks /= a.shape[1]
     return ProjGrid(blocks)
 
 
@@ -268,23 +258,6 @@ def pre_latin_from_rank_one(
     return PreLatinSquare(entries, n_target)
 
 
-def _split_by_eigenvalues(
-    basis: np.ndarray, op: np.ndarray, gap: float
-) -> list[np.ndarray]:
-    """Refine an orthonormal subspace basis into eigenspace clusters of the
-    operator compressed to the subspace, splitting at eigenvalue gaps."""
-    compressed = hermitize(basis.conj().T @ op @ basis)
-    w, u = np.linalg.eigh(compressed)
-    pieces = []
-    start = 0
-    for idx in range(1, len(w)):
-        if w[idx] - w[idx - 1] > gap:
-            pieces.append(basis @ u[:, start:idx])
-            start = idx
-    pieces.append(basis @ u[:, start:])
-    return pieces
-
-
 def _joint_eigensystem(
     grid: ProjGrid, tol: float, seed: int
 ) -> tuple[np.ndarray, list[PartialPermutation]]:
@@ -294,34 +267,26 @@ def _joint_eigensystem(
     sigmas[c] is the classical point of column c, i.e. sigma(j) = i exactly
     when block (i, j) fixes the vector.
 
-    Strategy: split ambient space by a random real-weighted sum of all
-    blocks, then refine each subspace against every block in row-major
-    order; eigenvalue clusters separated by gaps above 10*tol are split.
-    Residuals are verified at the end; on failure the procedure reseeds and
-    retries before raising :class:`DegenerateSplit`.
+    Strategy: the blocks commute, so with probability one every eigenvector
+    of a random real-weighted sum of them is a joint eigenvector (He &
+    Kressner, "Randomized joint diagonalization of symmetric matrices",
+    SIAM J. Matrix Anal. Appl. 2024); each attempt takes V from one
+    eigendecomposition of such a sum.  Residuals and 0/1 eigenvalues are
+    verified on every column; a sum that merges two joint eigenspaces fails
+    that test, and the procedure reseeds and retries before raising
+    :class:`DegenerateSplit`.
     """
     m, d = grid.size, grid.dim
     ops = grid.blocks.reshape(m * m, d, d)
     commutator = _worst_commutator(ops)
     if commutator > tol:
         raise NotCommuting(f"largest commutator {commutator:.3e} exceeds tol {tol}")
-    gap = 10.0 * tol
     cls_tol = min(0.1, max(1e4 * tol, 1e-8))
     last_error: DegenerateSplit | None = None
     for attempt in range(_RETRY_BUDGET):
         rng = np.random.default_rng(seed + attempt)
         weights = rng.standard_normal(m * m)
-        combo = hermitize(np.tensordot(weights, ops, axes=1))
-        subspaces = _split_by_eigenvalues(np.eye(d, dtype=complex), combo, gap)
-        for op in ops:
-            refined: list[np.ndarray] = []
-            for basis in subspaces:
-                if basis.shape[1] == 1:
-                    refined.append(basis)
-                else:
-                    refined.extend(_split_by_eigenvalues(basis, op, gap))
-            subspaces = refined
-        vectors = np.hstack(subspaces)
+        _, vectors = np.linalg.eigh(hermitize(np.tensordot(weights, ops, axes=1)))
         try:
             sigmas = _classify_columns(ops, vectors, m, cls_tol)
         except DegenerateSplit as exc:
@@ -329,7 +294,7 @@ def _joint_eigensystem(
             continue
         return vectors, sigmas
     raise DegenerateSplit(
-        f"joint eigenbasis refinement failed after {_RETRY_BUDGET} attempts: {last_error}"
+        f"joint eigenbasis failed after {_RETRY_BUDGET} attempts: {last_error}"
     )
 
 
@@ -401,10 +366,8 @@ def complete_last(grid: ProjGrid, *, tol: float = DEFAULT_TOL) -> ProjGrid:
         )
     blocks = np.empty((m + 1, m + 1, d, d), dtype=complex)
     blocks[:m, :m] = grid.blocks
-    for i in range(m):
-        blocks[i, m] = eye - row_sums[i]
-    for j in range(m):
-        blocks[m, j] = eye - col_sums[j]
+    blocks[:m, m] = eye - row_sums
+    blocks[m, :m] = eye - col_sums
     blocks[m, m] = corner
     return ProjGrid(blocks)
 
@@ -603,7 +566,3 @@ def format_pgrid(grid: ProjGrid) -> str:
 
 def read_pgrid(path) -> ProjGrid:
     return parse_pgrid(Path(path).read_text(encoding="utf-8"))
-
-
-def write_pgrid(path, grid: ProjGrid) -> None:
-    Path(path).write_text(format_pgrid(grid), encoding="utf-8")

@@ -298,12 +298,12 @@ def row_quotient(h: TorusMatrix, i: int, j: int) -> TorusMatrix:
     )
 
 
-def minor_det(h: TorusMatrix, j: int, *, rel_tol: float = 1e-6) -> complex:
+def minor_det(h: TorusMatrix, j: int) -> complex:
     """Determinant of the square minor obtained by deleting column j (1-based).
 
     Requires M = N - 1.  Uses pivoted elimination in double precision and
     raises :class:`IllConditioned` when the condition-number based estimate of
-    the relative error exceeds ``rel_tol``.
+    the relative error exceeds 1e-6.
     """
     if h.rows != h.cols - 1:
         raise ValueError(
@@ -311,6 +311,7 @@ def minor_det(h: TorusMatrix, j: int, *, rel_tol: float = 1e-6) -> complex:
         )
     if not 1 <= j <= h.cols:
         raise ValueError(f"column index {j} out of range")
+    rel_tol = 1e-6
     sub = np.delete(h.to_complex(), j - 1, axis=1)
     n = sub.shape[0]
     s = np.linalg.svd(sub, compute_uv=False)
@@ -336,7 +337,7 @@ def minor_det(h: TorusMatrix, j: int, *, rel_tol: float = 1e-6) -> complex:
 # Lines starting with '#' are comments.  Writing a parsed matrix reproduces
 # the canonical token of every entry bit-exactly.
 
-def parse_phm(text: str, *, tol: float = CONSTRUCTION_TOL) -> TorusMatrix:
+def parse_phm(text: str) -> TorusMatrix:
     lines = [ln.strip() for ln in text.splitlines()]
     payload = [ln for ln in lines if ln and not ln.startswith("#")]
     if not payload or payload[0] != "phm v1":
@@ -361,7 +362,7 @@ def parse_phm(text: str, *, tol: float = CONSTRUCTION_TOL) -> TorusMatrix:
         if len(tokens) != n:
             raise FormatError(f"expected {n} tokens per row, got {len(tokens)}")
         for tok in tokens:
-            p, q, z = _parse_token(tok, tol)
+            p, q, z = _parse_token(tok)
             nums.append(p)
             dens.append(q)
             values.append(z)
@@ -372,7 +373,7 @@ def parse_phm(text: str, *, tol: float = CONSTRUCTION_TOL) -> TorusMatrix:
     )
 
 
-def _parse_token(token: str, tol: float) -> tuple[int, int, complex]:
+def _parse_token(token: str) -> tuple[int, int, complex]:
     """(p, q, 0) for an exact token, (0, 0, value) for a float one."""
     phase = _TOKEN_PHASES.get(token)
     if phase is not None:
@@ -390,8 +391,8 @@ def _parse_token(token: str, tol: float) -> tuple[int, int, complex]:
         except ValueError as exc:
             raise FormatError(f"bad complex token {token!r}") from exc
         # Written so that NaN fails: every comparison with NaN is False.
-        if not abs(abs(value) - 1.0) <= tol:
-            raise FormatError(f"not unit modulus within {tol}: {value!r}")
+        if not abs(abs(value) - 1.0) <= CONSTRUCTION_TOL:
+            raise FormatError(f"not unit modulus within {CONSTRUCTION_TOL}: {value!r}")
         return 0, 0, value
     raise FormatError(f"unrecognized scalar token {token!r}")
 
@@ -410,8 +411,8 @@ def format_phm(h: TorusMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_phm(path, *, tol: float = CONSTRUCTION_TOL) -> TorusMatrix:
-    return parse_phm(Path(path).read_text(encoding="utf-8"), tol=tol)
+def read_phm(path) -> TorusMatrix:
+    return parse_phm(Path(path).read_text(encoding="utf-8"))
 
 
 def write_phm(path, h: TorusMatrix) -> None:

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 
 from hadperm._linalg import spectral_norm
-from hadperm.pperm import compose
+from hadperm.pperm import PartialPermutation, compose
+from hadperm.submagic import ProjGrid
 from hadperm.torus import TorusMatrix
 
 
@@ -69,3 +71,29 @@ def brute_force_commutator(grid) -> float:
     return max(
         (spectral_norm(x @ y - y @ x) for x, y in combinations(flat, 2)), default=0.0
     )
+
+
+def known_commuting_grid(m: int, d: int, seed: int) -> tuple[ProjGrid, Counter]:
+    """Commuting submagic M x M grid on C^d with known classical points.
+
+    Each column v_c of a Haar-random unitary gets a partial permutation
+    sigma_c drawn from a pool of three random ones, so joint eigenspaces of
+    dimension above 1 occur; block (i, j) sums the projectors v_c v_c* over
+    the columns with sigma_c(j) = i.  Returns the grid and Counter(sigma_c).
+    """
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    q, r = np.linalg.qr(g)
+    unitary = q * (np.diag(r) / np.abs(np.diag(r)))
+    maps = []
+    for _ in range(3):
+        image = rng.permutation(m) + 1
+        image[rng.random(m) < 0.3] = 0
+        maps.append(PartialPermutation(image))
+    sigmas = [maps[k] for k in rng.integers(0, 3, size=d)]
+    blocks = np.zeros((m, m, d, d), dtype=complex)
+    for vec, sigma in zip(unitary.T, sigmas):
+        for j, i in enumerate(sigma.image):
+            if i:
+                blocks[i - 1, j] += np.outer(vec, vec.conj())
+    return ProjGrid(blocks), Counter(sigmas)

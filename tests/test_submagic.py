@@ -7,7 +7,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from _helpers import brute_force_commutator, exact_randomized_fourier, take_rows
+from _helpers import (
+    brute_force_commutator,
+    exact_randomized_fourier,
+    known_commuting_grid,
+    take_rows,
+)
 from hadperm.errors import (
     FormatError,
     NotCommuting,
@@ -105,6 +110,24 @@ class TestGridFromHadamard:
             grid = grid_from_hadamard(take_rows(exact_randomized_fourier(n, rng), m))
             report = check_grid(grid, 1e-10)
             assert report.submagic
+
+    @pytest.mark.parametrize("kind", ["exact", "float", "one_row"])
+    def test_blocks_match_per_block_reference(self, kind):
+        rng = np.random.default_rng(53)
+        if kind == "float":
+            rows = np.exp(2j * np.pi * rng.random(4))[:, None]
+            cols = np.exp(2j * np.pi * rng.random(5))
+            h = TorusMatrix.from_complex(rows * fourier([5]).to_complex()[:4] * cols)
+        else:
+            h = take_rows(exact_randomized_fourier(6, rng), 1 if kind == "one_row" else 4)
+        a = h.to_complex()
+        m, n = a.shape
+        reference = np.empty((m, m, n, n), dtype=complex)
+        for i in range(m):
+            for j in range(m):
+                xi = a[i] / a[j]
+                reference[i, j] = np.outer(xi, xi.conj()) / n
+        assert np.array_equal(grid_from_hadamard(h).blocks, reference)
 
 
 class TestCheckGrid:
@@ -277,13 +300,25 @@ class TestClassicalPoints:
         with pytest.raises(NotCommuting):
             classical_points(grid)
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("d", [1, 3, 8, 12])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_known_answer_grids(self, m, d, seed):
+        grid, points = known_commuting_grid(m, d, seed)
+        assert classical_points(grid, seed=seed) == points
+        n = m + max(sigma.defect for sigma in points)
+        full = complete_commuting(grid, n, seed=seed)
+        report = check_grid(full)
+        assert report.magic and report.commuting
+        assert np.array_equal(full.blocks[:m, :m], grid.blocks)
+
     def test_deterministic_in_seed(self):
         grid = grid_from_hadamard(fourier([3]))
         assert classical_points(grid, seed=5) == classical_points(grid, seed=9)
 
     def test_non_projection_blocks_degenerate(self):
         # commuting (scalar) blocks whose eigenvalues are not 0/1: no joint
-        # basis classifies, so refinement must give up after its retries
+        # basis classifies, so every seeded attempt fails and the retries run out
         from hadperm.errors import DegenerateSplit
 
         blocks = np.zeros((2, 2, 2, 2), dtype=complex)
