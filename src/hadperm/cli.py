@@ -257,14 +257,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="numerical tolerance")
-        p.add_argument("--seed", type=int, default=0, help="random seed")
+    # Each subcommand takes only the flags it reads; --json is on all of them.
+    def common(p, *, tol=False, seed=False):
+        if tol:
+            p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="numerical tolerance")
+        if seed:
+            p.add_argument("--seed", type=int, default=0, help="random seed")
         p.add_argument("--json", action="store_true", help="emit one JSON object")
 
     p = sub.add_parser("check", help="certify a .phm file as partial Hadamard")
     p.add_argument("input")
-    common(p)
+    common(p, tol=True)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser(
@@ -273,12 +276,12 @@ def build_parser() -> argparse.ArgumentParser:
         "properties (plus pre-Latin square and semigroup when commuting)",
     )
     p.add_argument("input")
-    common(p)
+    common(p, tol=True)
     p.set_defaults(func=_cmd_grid)
 
     p = sub.add_parser("complete-row", help="complete an (N-1) x N .phm file to N x N")
     p.add_argument("input")
-    common(p)
+    common(p, tol=True)
     p.set_defaults(func=_cmd_complete_row)
 
     p = sub.add_parser(
@@ -289,14 +292,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("input")
     p.add_argument("--target", type=int, default=None, help="target grid size")
-    common(p)
+    common(p, tol=True, seed=True)
     p.set_defaults(func=_cmd_complete_grid)
 
     p = sub.add_parser(
         "criteria", help="run all completion criteria for an (N-1) x N .phm file"
     )
     p.add_argument("input")
-    common(p)
+    common(p, tol=True)
     p.set_defaults(func=_cmd_criteria)
 
     p = sub.add_parser("semigroup", help="semigroup of a .pls pre-Latin square")
@@ -328,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_tensor)
 
     p = sub.add_parser("verify", help="run the acceptance criteria suite")
-    common(p)
+    common(p, seed=True)
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -14,8 +14,8 @@ where G collects squared column inner products over N) and the weighted test
 (``H D H* = c`` with D the diagonal of |Z_j|^2).  Whether all these
 conditions are mutually equivalent is empirically probed, never assumed:
 :func:`criteria` runs the modulus, Gram and weighted tests together with the
-border completion of the grid, and is the one place where the four votes are
-assembled.
+border test of the grid (is its corner block a projection), and is the one
+place where the four votes are assembled.
 
 Every public call computes the N minors once, and the tests that need them
 share that one pass.
@@ -33,7 +33,7 @@ import numpy as np
 from . import torus
 from ._linalg import DEFAULT_TOL, spectral_norm
 from .errors import IllConditioned, NotCompletable, NotHadamard
-from .submagic import complete_last, grid_from_hadamard
+from .submagic import _corner, grid_from_hadamard
 from .torus import TorusMatrix, is_partial_hadamard, minor_det
 
 __all__ = [
@@ -239,18 +239,17 @@ def criteria(h: TorusMatrix, tol: float = DEFAULT_TOL) -> CriteriaReport:
     (N-1) x N matrix, computing its minors once.
 
     The grid is certified at the loose ``max(tol, 0.1)`` so that perturbed
-    (not quite partial Hadamard) inputs still reach the border test.  Errors
-    surface in the order minors, Gram, kernel residual, grid certification,
-    border completion; only :class:`NotCompletable` from the border is a vote.
+    (not quite partial Hadamard) inputs still reach the border test, whose
+    vote is whether the grid's corner block is a projection at ``tol``, the
+    condition under which :func:`~hadperm.submagic.complete_last` succeeds;
+    the completed grid itself is not built.  Errors surface in the order
+    minors, Gram, kernel residual, grid certification.
     """
     minors = _minors(h)
     profile = _profile(minors, tol)
     gram = gram_criterion(h, tol)
     weighted = _weighted(h, minors, tol)
-    grid = grid_from_hadamard(h, tol=max(tol, 0.1))
-    try:
-        complete_last(grid, tol=tol)
-        border = True
-    except NotCompletable:
-        border = False
-    return CriteriaReport(profile=profile, gram=gram, weighted=weighted, border=border)
+    _, defect = _corner(grid_from_hadamard(h, tol=max(tol, 0.1)))
+    return CriteriaReport(
+        profile=profile, gram=gram, weighted=weighted, border=defect <= tol
+    )

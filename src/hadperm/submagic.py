@@ -102,6 +102,18 @@ class ProjGrid:
         return f"ProjGrid(size={self.size}, dim={self.dim})"
 
 
+def _trusted(blocks: np.ndarray) -> ProjGrid:
+    """Wrap a complex (M, M, d, d) array this module has just built and holds
+    no other reference to, without the copy and shape check that the public
+    constructor applies to outside input."""
+    grid = object.__new__(ProjGrid)
+    blocks.setflags(write=False)
+    grid.size = int(blocks.shape[0])
+    grid.dim = int(blocks.shape[2])
+    grid.blocks = blocks
+    return grid
+
+
 @dataclass(frozen=True)
 class GridReport:
     """Certification result for a grid.
@@ -110,8 +122,10 @@ class GridReport:
     to be pairwise orthogonal along each row and column; ``magic`` adds unit
     row and column sums (so magic implies submagic); ``commuting`` bounds the
     largest commutator between any two blocks.  ``worst_violations`` maps a
-    label to the largest spectral-norm defect of that kind; every value,
-    ``commutator`` included, is the exact maximum over all blocks or pairs.
+    label to the largest spectral-norm defect of that kind; every value is
+    the exact maximum over all blocks or pairs, and the three pairwise ones
+    (``row_orthogonality``, ``column_orthogonality``, ``commutator``) come
+    from one scan of the pair products.
     """
 
     submagic: bool
@@ -141,14 +155,17 @@ def grid_from_hadamard(h: TorusMatrix, *, tol: float = DEFAULT_TOL) -> ProjGrid:
     xi = a[:, None, :] / a[None, :, :]
     blocks = xi[..., :, None] * xi.conj()[..., None, :]
     blocks /= a.shape[1]
-    return ProjGrid(blocks)
+    return _trusted(blocks)
 
 
 def check_grid(grid: ProjGrid, tol: float = DEFAULT_TOL) -> GridReport:
     """Certify the submagic, magic and commuting properties at ``tol``.
 
-    The reported commutator is the exact maximum over all pairs of blocks at
-    every grid size.
+    The blockwise defects (projection, Hermitian, row and column sums) come
+    from one batched pass over the blocks; the three pairwise defects (row
+    and column orthogonality, commutator) come from one scan that forms each
+    pair product once.  Every reported value is the exact maximum at every
+    grid size.
     """
     m, d = grid.size, grid.dim
     blocks = grid.blocks
@@ -157,23 +174,9 @@ def check_grid(grid: ProjGrid, tol: float = DEFAULT_TOL) -> GridReport:
 
     proj_err = float(spectral_norms(np.matmul(flat, flat) - flat).max())
     herm_err = float(spectral_norms(flat - flat.conj().transpose(0, 2, 1)).max())
-
-    # Row and column orthogonality of distinct blocks.
-    if m == 1:
-        row_orth = 0.0
-        col_orth = 0.0
-    else:
-        off = ~np.eye(m, dtype=bool)
-        prods = np.matmul(blocks[:, :, None, :, :], blocks[:, None, :, :, :])
-        row_orth = float(spectral_norms(prods[:, off]).max())
-        cols = blocks.transpose(1, 0, 2, 3)
-        prods = np.matmul(cols[:, :, None, :, :], cols[:, None, :, :, :])
-        col_orth = float(spectral_norms(prods[:, off]).max())
-
     row_sum_err = float(spectral_norms(blocks.sum(axis=1) - eye).max())
     col_sum_err = float(spectral_norms(blocks.sum(axis=0) - eye).max())
-
-    commutator = _worst_commutator(flat)
+    row_orth, col_orth, commutator = _pair_defects(flat, m)
 
     submagic = max(proj_err, herm_err, row_orth, col_orth) <= tol
     magic = submagic and max(row_sum_err, col_sum_err) <= tol
@@ -193,21 +196,41 @@ def check_grid(grid: ProjGrid, tol: float = DEFAULT_TOL) -> GridReport:
     )
 
 
-def _worst_commutator(flat: np.ndarray) -> float:
-    """Largest spectral norm of a pairwise commutator, exact at every size.
+def _pair_defects(flat: np.ndarray, m: int) -> tuple[float, float, float]:
+    """Exact maxima of the pairwise defects of the row-major blocks ``flat``
+    of an M x M grid: (row orthogonality, column orthogonality, commutator).
 
-    One scan over the pairs (a, b > a).  The Frobenius norm bounds the
-    spectral norm from above, so only pairs whose Frobenius norm reaches the
-    running maximum (with a relative margin against rounding) need an SVD;
-    the pairs skipped cannot raise the maximum.
+    One scan over the pairs (a, b > a) forms P_a P_b and P_b P_a once each.
+    The commutator takes their difference over all pairs; row orthogonality
+    takes both products over the same-row pairs, which are the first
+    ``m - 1 - a % m`` of the slice, and column orthogonality over the
+    same-column pairs, every M-th entry from ``m - 1``.  A grid of one block
+    has no pairs, so all three maxima are 0.0.
     """
-    worst = 0.0
+    row = col = comm = 0.0
     for a in range(flat.shape[0] - 1):
-        diff = np.matmul(flat[a], flat[a + 1 :]) - np.matmul(flat[a + 1 :], flat[a])
-        fro = np.sqrt((np.abs(diff) ** 2).sum(axis=(1, 2)))
-        over = fro * (1 + 1e-6) >= worst
-        if over.any():
-            worst = max(worst, float(spectral_norms(diff[over]).max()))
+        ab = np.matmul(flat[a], flat[a + 1 :])
+        ba = np.matmul(flat[a + 1 :], flat[a])
+        comm = _raise_to_max(ab - ba, comm)
+        same_row = m - 1 - a % m
+        for prods in (ab, ba):
+            row = _raise_to_max(prods[:same_row], row)
+            col = _raise_to_max(prods[m - 1 :: m], col)
+    return row, col, comm
+
+
+def _raise_to_max(mats: np.ndarray, worst: float) -> float:
+    """The larger of ``worst`` and the spectral norms of the stack ``mats``.
+
+    The Frobenius norm bounds the spectral norm from above, so only matrices
+    whose Frobenius norm exceeds ``worst`` (with a relative margin against
+    rounding) need an SVD; those skipped cannot raise the maximum, and exact
+    zero products, common in submagic grids, never reach the SVD.
+    """
+    fro = np.sqrt((np.abs(mats) ** 2).sum(axis=(1, 2)))
+    over = fro * (1 + 1e-6) > worst
+    if over.any():
+        worst = max(worst, float(spectral_norms(mats[over]).max()))
     return worst
 
 
@@ -267,6 +290,10 @@ def _joint_eigensystem(
     sigmas[c] is the classical point of column c, i.e. sigma(j) = i exactly
     when block (i, j) fixes the vector.
 
+    Commutation is checked first with the pair scan that :func:`check_grid`
+    uses (:func:`_pair_defects`), keeping only its commutator maximum; a
+    value above ``tol`` raises :class:`NotCommuting`.
+
     Strategy: the blocks commute, so with probability one every eigenvector
     of a random real-weighted sum of them is a joint eigenvector (He &
     Kressner, "Randomized joint diagonalization of symmetric matrices",
@@ -278,7 +305,7 @@ def _joint_eigensystem(
     """
     m, d = grid.size, grid.dim
     ops = grid.blocks.reshape(m * m, d, d)
-    commutator = _worst_commutator(ops)
+    _, _, commutator = _pair_defects(ops, m)
     if commutator > tol:
         raise NotCommuting(f"largest commutator {commutator:.3e} exceeds tol {tol}")
     cls_tol = min(0.1, max(1e4 * tol, 1e-8))
@@ -354,22 +381,27 @@ def complete_last(grid: ProjGrid, *, tol: float = DEFAULT_TOL) -> ProjGrid:
     witness.
     """
     m, d = grid.size, grid.dim
-    eye = np.eye(d)
-    row_sums = grid.blocks.sum(axis=1)
-    col_sums = grid.blocks.sum(axis=0)
-    corner = grid.total_sum() - (m - 1) * eye
-    defect = spectral_norm(corner @ corner - corner)
+    corner, defect = _corner(grid)
     if defect > tol:
         raise NotCompletable(
             f"corner block is not a projection: ||P^2 - P|| = {defect:.3e} > {tol}",
             witness=defect,
         )
+    eye = np.eye(d)
     blocks = np.empty((m + 1, m + 1, d, d), dtype=complex)
     blocks[:m, :m] = grid.blocks
-    blocks[:m, m] = eye - row_sums
-    blocks[m, :m] = eye - col_sums
+    blocks[:m, m] = eye - grid.blocks.sum(axis=1)
+    blocks[m, :m] = eye - grid.blocks.sum(axis=0)
     blocks[m, m] = corner
-    return ProjGrid(blocks)
+    return _trusted(blocks)
+
+
+def _corner(grid: ProjGrid) -> tuple[np.ndarray, float]:
+    """Corner block ``sum of all blocks - (M-1)`` of the border completion and
+    its idempotency defect ``||P^2 - P||``; the completion exists exactly when
+    the defect vanishes."""
+    corner = grid.total_sum() - (grid.size - 1) * np.eye(grid.dim)
+    return corner, spectral_norm(corner @ corner - corner)
 
 
 def complete_commuting(
@@ -408,7 +440,7 @@ def complete_commuting(
             i = total(j)
             blocks[i - 1, j - 1] += proj
     blocks[:m, :m] = grid.blocks
-    return ProjGrid(blocks)
+    return _trusted(blocks)
 
 
 def complete_2x2_to_4x4(grid: ProjGrid, *, tol: float = DEFAULT_TOL) -> ProjGrid:
@@ -441,7 +473,7 @@ def complete_2x2_to_4x4(grid: ProjGrid, *, tol: float = DEFAULT_TOL) -> ProjGrid
             [zeros, eye - q - r, r, q],
         ]
     )
-    return ProjGrid(blocks)
+    return _trusted(blocks)
 
 
 @dataclass(frozen=True)
@@ -479,7 +511,7 @@ def random_grid(m: int, d: int, seed: int) -> ProjGrid:
     rng = np.random.default_rng(seed)
     if m == 1:
         p = random_projection(d, int(rng.integers(0, d + 1)), rng)
-        return ProjGrid(p[None, None])
+        return _trusted(p[None, None])
     if m == 2:
         p = random_projection(d, int(rng.integers(0, d + 1)), rng)
         q = random_projection(d, int(rng.integers(0, d + 1)), rng)
@@ -490,7 +522,7 @@ def random_grid(m: int, d: int, seed: int) -> ProjGrid:
         if free:
             r = basis @ random_projection(free, int(rng.integers(0, free + 1)), rng) @ basis.conj().T
             s = basis @ random_projection(free, int(rng.integers(0, free + 1)), rng) @ basis.conj().T
-        return ProjGrid([[p, r], [s, q]])
+        return _trusted(np.array([[p, r], [s, q]]))
     raise Unsupported(f"random submagic sampling is only supported for M in {{1, 2}}, got {m}")
 
 
@@ -535,7 +567,7 @@ def parse_pgrid(text: str) -> ProjGrid:
                         f"expected {d} entries per block row, got {len(tokens)}"
                     )
                 blocks[i, j, row] = [_parse_pair(tok) for tok in tokens]
-    return ProjGrid(blocks)
+    return _trusted(blocks)
 
 
 def _parse_pair(token: str) -> complex:

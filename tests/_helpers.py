@@ -8,7 +8,7 @@ from itertools import combinations
 
 import numpy as np
 
-from hadperm._linalg import spectral_norm
+from hadperm._linalg import spectral_norm, spectral_norms
 from hadperm.pperm import PartialPermutation, compose
 from hadperm.submagic import ProjGrid
 from hadperm.torus import TorusMatrix
@@ -71,6 +71,40 @@ def brute_force_commutator(grid) -> float:
     return max(
         (spectral_norm(x @ y - y @ x) for x, y in combinations(flat, 2)), default=0.0
     )
+
+
+def reference_grid_report(grid, tol: float) -> tuple[dict[str, float], bool, bool, bool]:
+    """Reference certification by the dense formulas: every block defect in
+    one batch, every same-row and same-column product P_a P_b (a != b) of an
+    (M, M, M, d, d) stack with an SVD each, and the brute-force commutator.
+    Returns (worst_violations, submagic, magic, commuting)."""
+    m, d = grid.size, grid.dim
+    blocks = grid.blocks
+    flat = blocks.reshape(m * m, d, d)
+    eye = np.eye(d)
+    off = ~np.eye(m, dtype=bool)
+
+    def orthogonality(lines):
+        if m == 1:
+            return 0.0
+        prods = np.matmul(lines[:, :, None, :, :], lines[:, None, :, :, :])
+        return float(spectral_norms(prods[:, off]).max())
+
+    worst = {
+        "projection": float(spectral_norms(np.matmul(flat, flat) - flat).max()),
+        "hermitian": float(spectral_norms(flat - flat.conj().transpose(0, 2, 1)).max()),
+        "row_orthogonality": orthogonality(blocks),
+        "column_orthogonality": orthogonality(blocks.transpose(1, 0, 2, 3)),
+        "row_sum": float(spectral_norms(blocks.sum(axis=1) - eye).max()),
+        "column_sum": float(spectral_norms(blocks.sum(axis=0) - eye).max()),
+        "commutator": brute_force_commutator(grid),
+    }
+    submagic = max(
+        worst[k]
+        for k in ("projection", "hermitian", "row_orthogonality", "column_orthogonality")
+    ) <= tol
+    magic = submagic and max(worst["row_sum"], worst["column_sum"]) <= tol
+    return worst, submagic, magic, worst["commutator"] <= tol
 
 
 def known_commuting_grid(m: int, d: int, seed: int) -> tuple[ProjGrid, Counter]:

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from hadperm import pperm
-from hadperm.cli import main
+from hadperm.cli import build_parser, main
 from hadperm.torus import format_phm, fourier
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -226,6 +226,40 @@ class TestDeterminism:
         assert out_a == out_b
 
 
+# --tol and --seed sit only on the subcommands that read them.
+READS = {
+    "check": {"--tol"},
+    "grid": {"--tol"},
+    "complete-row": {"--tol"},
+    "complete-grid": {"--tol", "--seed"},
+    "criteria": {"--tol"},
+    "semigroup": set(),
+    "count": set(),
+    "enumerate": set(),
+    "fourier": set(),
+    "tensor": set(),
+    "verify": {"--seed"},
+}
+POSITIONAL = {
+    "check": [DATA / "f3.phm"],
+    "grid": [DATA / "f3.phm"],
+    "complete-row": [DATA / "f3_top2.phm"],
+    "complete-grid": [DATA / "f3_top2.phm"],
+    "criteria": [DATA / "f3_top2.phm"],
+    "semigroup": [DATA / "pls4x6.pls"],
+    "count": [4],
+    "enumerate": [2],
+    "fourier": [2],
+    "tensor": [DATA / "f2.phm", DATA / "f3.phm"],
+    "verify": [],
+}
+TOL_SEED_PAIRS = [(cmd, flag) for cmd in READS for flag in ("--tol", "--seed")]
+
+
+def command_argv(command, *flags):
+    return [command, *(str(a) for a in POSITIONAL[command]), *flags]
+
+
 class TestUsage:
     def test_unknown_flag_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -237,6 +271,26 @@ class TestUsage:
             main(["semigroup", str(DATA / "pls4x6.pls"), "--limit", "1"])
         assert exc.value.code == 2
         assert "--limit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, flag", [pair for pair in TOL_SEED_PAIRS if pair[1] not in READS[pair[0]]]
+    )
+    def test_unread_tol_and_seed_rejected(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(command_argv(command, flag, "1"))
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, flag", [pair for pair in TOL_SEED_PAIRS if pair[1] in READS[pair[0]]]
+    )
+    def test_read_tol_and_seed_accepted(self, command, flag):
+        args = build_parser().parse_args(command_argv(command, flag, "1"))
+        assert getattr(args, flag[2:]) == 1
+
+    def test_json_on_every_subcommand(self):
+        for command in READS:
+            assert build_parser().parse_args(command_argv(command, "--json")).json
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "check", "no-such-file.phm")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from _helpers import drop_last_row, exact_randomized_fourier, phases, take_rows
-from hadperm import completion
+from hadperm import completion, submagic
 from hadperm.completion import (
     complete_row,
     criteria,
@@ -245,6 +245,42 @@ class TestCriteria:
                     "modulus_constant", "gram", "weighted", "complete_last"
                 ]
                 assert set(report.votes.values()) == {matrix is h}
+
+    @staticmethod
+    def border_instances():
+        # the inputs of test_border_corner_is_the_gram_matrix and their
+        # perturbed twins
+        rng = np.random.default_rng(101)
+        for n in range(3, 9):
+            for _ in range(4):
+                h = drop_last_row(exact_randomized_fourier(n, rng))
+                i, j = int(rng.integers(n - 1)), int(rng.integers(n))
+                yield h
+                yield perturb(h, i, j)
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-8])
+    def test_border_vote_is_whether_complete_last_succeeds(self, tol):
+        votes = []
+        for matrix in self.border_instances():
+            try:
+                complete_last(grid_from_hadamard(matrix, tol=0.1), tol=tol)
+                completes = True
+            except NotCompletable:
+                completes = False
+            assert criteria(matrix, tol=tol).border == completes
+            votes.append(completes)
+        assert set(votes) == {True, False}
+
+    def test_border_vote_does_not_build_the_completion(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("criteria built the completed grid")
+
+        monkeypatch.setattr(submagic, "complete_last", refuse)
+        # also wherever completion might hold its own reference
+        monkeypatch.setattr(completion, "complete_last", refuse, raising=False)
+        h = drop_last_row(fourier([5]))
+        assert criteria(h).border
+        assert not criteria(perturb(h, 1, 2)).border
 
 
 class TestMinorsOncePerCall:

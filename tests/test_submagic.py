@@ -2,7 +2,9 @@
 certification, classical points, pre-Latin extraction, completions, the
 trace bound, random sampling, and the .pgrid format."""
 
+import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from _helpers import (
     brute_force_commutator,
     exact_randomized_fourier,
     known_commuting_grid,
+    reference_grid_report,
     take_rows,
 )
 from hadperm.errors import (
@@ -36,11 +39,13 @@ from hadperm.submagic import (
     parse_pgrid,
     pre_latin_from_rank_one,
     random_grid,
+    read_pgrid,
     sum_bound_check,
 )
 from hadperm.submagic import _joint_eigensystem
-from hadperm.torus import TorusMatrix, fourier, tensor
+from hadperm.torus import TorusMatrix, fourier, read_phm, tensor
 
+DATA = Path(__file__).resolve().parent.parent / "data"
 W3 = np.exp(2j * np.pi / 3)
 
 
@@ -71,6 +76,22 @@ def pq_grid():
 def two_row(values):
     values = np.asarray(values, dtype=complex)
     return TorusMatrix.from_complex(np.vstack([np.ones_like(values), values]))
+
+
+def balanced_two_row(theta):
+    """Partial Hadamard two-row matrix whose grid commutes only when
+    theta is a multiple of pi / 2."""
+    return two_row(np.array([1, np.exp(1j * theta), -1, -np.exp(1j * theta)]))
+
+
+def peak_bytes(fn, *args):
+    """tracemalloc peak of one call, counted from the call's start."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestGridFromHadamard:
@@ -128,6 +149,42 @@ class TestGridFromHadamard:
                 xi = a[i] / a[j]
                 reference[i, j] = np.outer(xi, xi.conj()) / n
         assert np.array_equal(grid_from_hadamard(h).blocks, reference)
+
+
+class TestProjGridOwnership:
+    def test_constructor_copies_outside_input(self):
+        arr = np.zeros((1, 1, 2, 2), dtype=complex)
+        grid = ProjGrid(arr)
+        arr[0, 0, 0, 0] = 1.0
+        assert grid.blocks[0, 0, 0, 0] == 0.0
+        assert arr.flags.writeable
+
+    def test_every_builder_returns_read_only_blocks(self):
+        f3 = grid_from_hadamard(fourier([3]))
+        square = random_grid(2, 3, 0)
+        grids = [
+            ProjGrid(np.zeros((1, 1, 2, 2))),
+            f3,
+            grid_from_hadamard(f3_top2()),
+            complete_last(grid_from_hadamard(f3_top2())),
+            complete_commuting(grid_from_hadamard(m2_family()), 4),
+            complete_2x2_to_4x4(square),
+            random_grid(1, 3, 0),
+            square,
+            parse_pgrid(format_pgrid(f3)),
+        ]
+        for grid in grids:
+            assert grid.blocks.dtype == complex
+            assert grid.blocks.shape == (grid.size, grid.size, grid.dim, grid.dim)
+            assert not grid.blocks.flags.writeable
+            with pytest.raises(ValueError):
+                grid.blocks[0, 0, 0, 0] = 1.0
+
+    def test_grid_from_hadamard_does_not_copy_its_blocks(self):
+        # a copy on construction would hold the blocks twice, about 2x
+        h = fourier([16])
+        block_bytes = 16 * 16 * 16 * 16 * 16
+        assert peak_bytes(grid_from_hadamard, h) < 1.5 * block_bytes
 
 
 class TestCheckGrid:
@@ -192,6 +249,82 @@ class TestCommutatorIsExact:
             grid = random_grid(m, 4, seed)
             expected = brute_force_commutator(grid)
             assert check_grid(grid).worst_violations["commutator"] == expected
+
+
+class TestPairScanMatchesReference:
+    """All seven defects and the three flags of check_grid equal the dense
+    reference formulas exactly.  The scan forms each pair product once, in
+    other batch shapes than the reference, so this also guards that numpy
+    computes every product and SVD the same whatever the batch."""
+
+    @staticmethod
+    def assert_matches(grid, tol=1e-9):
+        report = check_grid(grid, tol)
+        worst, submagic, magic, commuting = reference_grid_report(grid, tol)
+        assert list(report.worst_violations) == list(worst)
+        assert report.worst_violations == worst
+        assert (report.submagic, report.magic, report.commuting) == (
+            submagic, magic, commuting
+        )
+        return report
+
+    # not_orthogonal.phm is not partial Hadamard even at 0.1 and has no grid
+    @pytest.mark.parametrize(
+        "name",
+        sorted(
+            p.name for p in DATA.iterdir()
+            if p.suffix in (".phm", ".pgrid") and p.name != "not_orthogonal.phm"
+        ),
+    )
+    def test_data_grids(self, name):
+        path = DATA / name
+        if path.suffix == ".pgrid":
+            grid = read_pgrid(path)
+        else:
+            grid = grid_from_hadamard(read_phm(path), tol=0.1)
+        self.assert_matches(grid)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_fourier_grids(self, n):
+        self.assert_matches(grid_from_hadamard(fourier([n])))
+
+    @pytest.mark.parametrize("m", range(1, 6))
+    def test_known_commuting_grids(self, m):
+        for d in (1, 3, 8):
+            for seed in (0, 1):
+                grid, _ = known_commuting_grid(m, d, seed)
+                assert self.assert_matches(grid).commuting
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_random_grids(self, m):
+        for seed in range(10):
+            self.assert_matches(random_grid(m, 1 + seed % 5, seed))
+
+    @pytest.mark.parametrize("theta", [0.3, 0.7, 1.1, 2.0])
+    def test_balanced_non_commuting_two_row_grids(self, theta):
+        row = balanced_two_row(theta)
+        for h in (row, tensor(row, fourier([3]))):
+            report = self.assert_matches(grid_from_hadamard(h))
+            assert report.submagic and not report.commuting
+
+    def test_perturbed_grids_fail_orthogonality(self):
+        # loose-certified grids of perturbed inputs: the orthogonality
+        # maxima are far above rounding and must still agree exactly
+        rng = np.random.default_rng(7)
+        for n in (4, 5, 6):
+            a = take_rows(exact_randomized_fourier(n, rng), n - 1).to_complex().copy()
+            a[0, 1] *= np.exp(0.05j)
+            report = self.assert_matches(
+                grid_from_hadamard(TorusMatrix.from_complex(a), tol=0.1)
+            )
+            assert report.worst_violations["row_orthogonality"] > 1e-3
+            assert report.worst_violations["column_orthogonality"] > 1e-3
+
+    def test_check_grid_memory_stays_small(self):
+        # the dense orthogonality stack of all same-row and same-column
+        # products alone took 33.6 MB at F_16
+        grid = grid_from_hadamard(fourier([16]))
+        assert peak_bytes(check_grid, grid) < 8e6
 
 
 class TestPreLatinFromRankOne:
