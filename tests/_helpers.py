@@ -8,8 +8,10 @@ from itertools import combinations
 
 import numpy as np
 
-from hadperm._linalg import spectral_norm, spectral_norms
+from hadperm._linalg import hermitize, spectral_norm, spectral_norms
+from hadperm.errors import NotCommuting, RankError
 from hadperm.pperm import PartialPermutation, compose
+from hadperm.prelatin import PreLatinSquare
 from hadperm.submagic import ProjGrid
 from hadperm.torus import TorusMatrix
 
@@ -105,6 +107,47 @@ def reference_grid_report(grid, tol: float) -> tuple[dict[str, float], bool, boo
     ) <= tol
     magic = submagic and max(worst["row_sum"], worst["column_sum"]) <= tol
     return worst, submagic, magic, worst["commutator"] <= tol
+
+
+def reference_pre_latin(grid, n_target: int, *, tol: float) -> PreLatinSquare:
+    """Reference pre-Latin square of a commuting rank-one grid by clustering:
+    one ``eigh`` per block for its rank check and image vector, then each
+    image joins the first earlier representative it is parallel to (overlap
+    within ``1e3 * tol`` of 1), or starts a new label.  An overlap strictly
+    between the two thresholds raises :class:`NotCommuting`."""
+    m, d = grid.size, grid.dim
+    cluster_tol = max(1e3 * tol, 1e-12)
+    reps: list[np.ndarray] = []
+    entries = [[0] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(m):
+            block = grid.blocks[i, j]
+            w, v = np.linalg.eigh(hermitize(block))
+            # ascending eigenvalues: top one must be 1, all others pinched
+            # between w[0] and w[-2], so those two endpoints bound the rest
+            rest = max(abs(w[0]), abs(w[-2])) if d > 1 else 0.0
+            if abs(w[-1] - 1.0) > cluster_tol or rest > cluster_tol:
+                raise RankError(
+                    f"block ({i + 1},{j + 1}) is not a rank-one projection "
+                    f"(top eigenvalue {w[-1]:.6f}, remaining bound {rest:.6f})"
+                )
+            vec = v[:, -1]
+            label = None
+            for idx, rep in enumerate(reps):
+                overlap = abs(np.dot(vec, rep.conj()))
+                if overlap >= 1.0 - cluster_tol:
+                    label = idx + 1
+                    break
+                if overlap > cluster_tol:
+                    raise NotCommuting(
+                        f"images of blocks are neither parallel nor orthogonal "
+                        f"(overlap {overlap:.6f} at block ({i + 1},{j + 1}))"
+                    )
+            if label is None:
+                reps.append(vec)
+                label = len(reps)
+            entries[i][j] = label
+    return PreLatinSquare(entries, n_target)
 
 
 def known_commuting_grid(m: int, d: int, seed: int) -> tuple[ProjGrid, Counter]:

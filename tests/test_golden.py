@@ -30,6 +30,15 @@ _COMMANDS = (
     + [("grid", [name]) for name in _PHM]
     + [("complete-row", [name]) for name in ("f3_top2.phm", "f4_top3_turned.phm")]
     + [("complete-grid", [name]) for name in _PHM + ["pq_counterexample.pgrid"]]
+    + [
+        ("complete-grid", [name, "--target", target])
+        for name, target in (
+            ("f3_top2.phm", "5"),
+            ("f4.phm", "6"),
+            ("m2_family.phm", "5"),
+            ("pq_counterexample.pgrid", "5"),
+        )
+    ]
     + [("criteria", [name]) for name in ("f3_top2.phm", "f4_top3_turned.phm")]
     + [("semigroup", ["pls4x6.pls"])]
     + [

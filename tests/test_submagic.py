@@ -14,6 +14,7 @@ from _helpers import (
     exact_randomized_fourier,
     known_commuting_grid,
     reference_grid_report,
+    reference_pre_latin,
     take_rows,
 )
 from hadperm.errors import (
@@ -387,6 +388,60 @@ class TestPreLatinFromRankOne:
             square = pre_latin_from_rank_one(grid, grid.dim)
             points = classical_points(grid)
             assert semigroup_of(square) == generate_semigroup(list(points))
+
+
+class TestPreLatinMatchesReference:
+    """pre_latin_from_rank_one gives the same entries and alphabet as the
+    clustering reference in tests/_helpers.py on commuting rank-one grids,
+    and raises the same error type where the reference raises."""
+
+    @staticmethod
+    def assert_matches(grid, tol):
+        square = pre_latin_from_rank_one(grid, grid.dim, tol=tol)
+        expected = reference_pre_latin(grid, grid.dim, tol=tol)
+        assert (square.entries, square.alphabet) == (expected.entries, expected.alphabet)
+
+    @staticmethod
+    def assert_same_error(grid, n_target, tol=1e-9):
+        errors = []
+        for fn in (pre_latin_from_rank_one, reference_pre_latin):
+            with pytest.raises((NotCommuting, RankError)) as err:
+                fn(grid, n_target, tol=tol)
+            errors.append(err.type)
+        assert errors[0] is errors[1]
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-12])
+    @pytest.mark.parametrize(
+        "name", sorted(p.name for p in DATA.glob("*.phm") if p.name != "not_orthogonal.phm")
+    )
+    def test_data_grids(self, name, tol):
+        grid = grid_from_hadamard(read_phm(DATA / name), tol=0.1)
+        if check_grid(grid, tol).commuting:
+            self.assert_matches(grid, tol)
+        else:
+            self.assert_same_error(grid, grid.dim, tol)
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-12])
+    def test_fourier_grids(self, tol):
+        for orders in [[n] for n in range(1, 13)] + [[2, 2], [2, 3], [3, 3], [2, 2, 2]]:
+            self.assert_matches(grid_from_hadamard(fourier(orders)), tol)
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-12])
+    def test_randomized_fourier_row_subsets(self, tol):
+        rng = np.random.default_rng(71)
+        for n in range(1, 13):
+            for _ in range(3):
+                h = take_rows(exact_randomized_fourier(n, rng), int(rng.integers(1, n + 1)))
+                self.assert_matches(grid_from_hadamard(h), tol)
+
+    def test_same_error_types(self):
+        self.assert_same_error(ProjGrid(np.eye(2, dtype=complex)[None, None]), 2)
+        self.assert_same_error(
+            ProjGrid(np.diag([1.0, 0.0, -1.0]).astype(complex)[None, None]), 3
+        )
+        self.assert_same_error(pq_grid(), 2)
+        for theta in (0.3, 0.7, 1.1, 2.0):
+            self.assert_same_error(grid_from_hadamard(balanced_two_row(theta)), 4)
 
 
 class TestClassicalPoints:
