@@ -5,9 +5,10 @@ every block is an orthogonal projection and blocks are pairwise orthogonal
 along each row and each column, and *magic* when additionally every row and
 column sums to the identity.  This module builds such grids from partial
 Hadamard matrices (block (i,j) projects onto the entrywise quotient of rows
-i and j), certifies the submagic/magic/commuting properties, extracts the
-pre-Latin square and classical points of commuting grids, and implements the
-three completion procedures: adding one final row and column, completing a
+i and j), certifies the submagic/magic/commuting properties, reads the
+pre-Latin square and classical points of a commuting grid off one joint
+eigenbasis (which also certifies the commutation), and implements the three
+completion procedures: adding one final row and column, completing a
 commuting grid through total-permutation embeddings of its classical points,
 and the unconditional 2x2 -> 4x4 completion.
 
@@ -240,59 +241,42 @@ def pre_latin_from_rank_one(
     """Recover the pre-Latin square of a commuting rank-one submagic grid.
 
     Two commuting rank-one projections have images that are either equal or
-    orthogonal, so the block images cluster into mutually orthogonal lines.
-    Labels 1, 2, ... are assigned in row-major first-seen order and the
-    alphabet is padded to ``n_target``.  Raises :class:`RankError` if some
-    block is not a rank-one projection and :class:`NotCommuting` if a pair of
-    images is neither parallel nor orthogonal within tolerance.
+    orthogonal, so each block fixes exactly one vector of the grid's joint
+    eigenbasis (:func:`_joint_eigensystem` at seed 0): block (i, j) gets the
+    column c with sigma_c(j) = i.  Columns become labels 1, 2, ... in
+    row-major first-seen order, and the alphabet is padded to ``n_target``.
+    Raises :class:`RankError` first if some block is not a rank-one
+    projection within ``max(1e3 * tol, 1e-12)`` (first offender in row-major
+    order), then :class:`NotCommuting` if a commutator exceeds ``tol``.
     """
     m, d = grid.size, grid.dim
     cluster_tol = max(1e3 * tol, 1e-12)
-    reps: list[np.ndarray] = []
-    entries = [[0] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(m):
-            block = grid.blocks[i, j]
-            w, v = np.linalg.eigh(hermitize(block))
-            # ascending eigenvalues: top one must be 1, all others pinched
-            # between w[0] and w[-2], so those two endpoints bound the rest
-            rest = max(abs(w[0]), abs(w[-2])) if d > 1 else 0.0
-            if abs(w[-1] - 1.0) > cluster_tol or rest > cluster_tol:
-                raise RankError(
-                    f"block ({i + 1},{j + 1}) is not a rank-one projection "
-                    f"(top eigenvalue {w[-1]:.6f}, remaining bound {rest:.6f})"
-                )
-            vec = v[:, -1]
-            label = None
-            for idx, rep in enumerate(reps):
-                overlap = abs(np.dot(vec, rep.conj()))
-                if overlap >= 1.0 - cluster_tol:
-                    label = idx + 1
-                    break
-                if overlap > cluster_tol:
-                    raise NotCommuting(
-                        f"images of blocks are neither parallel nor orthogonal "
-                        f"(overlap {overlap:.6f} at block ({i + 1},{j + 1}))"
-                    )
-            if label is None:
-                reps.append(vec)
-                label = len(reps)
-            entries[i][j] = label
-    return PreLatinSquare(entries, n_target)
+    w = np.linalg.eigvalsh(hermitize(grid.blocks.reshape(m * m, d, d)))
+    # ascending eigenvalues: the top one must be 1 and all others 0
+    rest = np.abs(w[:, :-1]).max(axis=1, initial=0.0)
+    bad = (np.abs(w[:, -1] - 1.0) > cluster_tol) | (rest > cluster_tol)
+    if bad.any():
+        a = int(np.argmax(bad))
+        raise RankError(
+            f"block ({a // m + 1},{a % m + 1}) is not a rank-one projection "
+            f"(top eigenvalue {w[a, -1]:.6f}, remaining bound {rest[a]:.6f})"
+        )
+    _, sigmas = _joint_eigensystem(grid, tol, 0)
+    column = {(i, j): c for c, s in enumerate(sigmas) for j, i in enumerate(s.image) if i}
+    labels: dict[int, int] = {}
+    entries = [labels.setdefault(column[key], len(labels) + 1) for key in sorted(column)]
+    return PreLatinSquare(np.reshape(entries, (m, m)), n_target)
 
 
 def _joint_eigensystem(
     grid: ProjGrid, tol: float, seed: int
 ) -> tuple[np.ndarray, list[PartialPermutation]]:
-    """Joint eigenbasis of all blocks of a commuting grid.
+    """Joint eigenbasis of all blocks of a commuting grid, which also
+    certifies that the blocks commute.
 
     Returns (V, sigmas): V has the d joint eigenvectors as columns and
     sigmas[c] is the classical point of column c, i.e. sigma(j) = i exactly
     when block (i, j) fixes the vector.
-
-    Commutation is checked first with the pair scan that :func:`check_grid`
-    uses (:func:`_pair_defects`), keeping only its commutator maximum; a
-    value above ``tol`` raises :class:`NotCommuting`.
 
     Strategy: the blocks commute, so with probability one every eigenvector
     of a random real-weighted sum of them is a joint eigenvector (He &
@@ -300,14 +284,18 @@ def _joint_eigensystem(
     SIAM J. Matrix Anal. Appl. 2024); each attempt takes V from one
     eigendecomposition of such a sum.  Residuals and 0/1 eigenvalues are
     verified on every column; a sum that merges two joint eigenspaces fails
-    that test, and the procedure reseeds and retries before raising
-    :class:`DegenerateSplit`.
+    that test, and the procedure reseeds and retries.
+
+    The residuals also bound the commutators: P_b = V Lambda_b V* + E_b with
+    ||E_b|| <= r_b, the Frobenius norm of block b's residual columns, and the
+    V Lambda_b V* commute, so ||[P_a, P_b]|| <= 2q(r1 + r2) + 2 r1 r2 with
+    q = max |lambda| and r1 >= r2 the two largest r_b.  A bound above ``tol``,
+    or no attempt that classifies, runs :func:`check_grid`'s exact pair scan
+    once; it raises :class:`NotCommuting` above ``tol``, before any
+    :class:`NotSubmagic` or :class:`DegenerateSplit`.
     """
     m, d = grid.size, grid.dim
     ops = grid.blocks.reshape(m * m, d, d)
-    _, _, commutator = _pair_defects(ops, m)
-    if commutator > tol:
-        raise NotCommuting(f"largest commutator {commutator:.3e} exceeds tol {tol}")
     cls_tol = min(0.1, max(1e4 * tol, 1e-8))
     last_error: DegenerateSplit | None = None
     for attempt in range(_RETRY_BUDGET):
@@ -315,46 +303,58 @@ def _joint_eigensystem(
         weights = rng.standard_normal(m * m)
         _, vectors = np.linalg.eigh(hermitize(np.tensordot(weights, ops, axes=1)))
         try:
-            sigmas = _classify_columns(ops, vectors, m, cls_tol)
+            sigmas = _classify_columns(ops, vectors, m, cls_tol, tol)
         except DegenerateSplit as exc:
             last_error = exc
             continue
         return vectors, sigmas
+    _require_commuting(ops, m, tol)
     raise DegenerateSplit(
         f"joint eigenbasis failed after {_RETRY_BUDGET} attempts: {last_error}"
     )
 
 
+def _require_commuting(ops: np.ndarray, m: int, tol: float) -> None:
+    _, _, commutator = _pair_defects(ops, m)
+    if commutator > tol:
+        raise NotCommuting(f"largest commutator {commutator:.3e} exceeds tol {tol}")
+
+
 def _classify_columns(
-    ops: np.ndarray, vectors: np.ndarray, m: int, cls_tol: float
+    ops: np.ndarray, vectors: np.ndarray, m: int, cls_tol: float, tol: float
 ) -> list[PartialPermutation]:
-    """Read off the classical point of every joint eigenvector column."""
+    """Read off the classical point of every joint eigenvector column once
+    the column passes the residual and 0/1 tests and the commutator bound."""
     d = vectors.shape[1]
     # lam[b, c] = <op_b v_c, v_c>; for a genuine joint eigenvector this is the
     # block's eigenvalue on the vector, which must sit at 0 or 1.
     applied = np.matmul(ops, vectors)
     lam = np.einsum("dc,bdc->bc", vectors.conj(), applied).real
-    residual = np.linalg.norm(applied - lam[:, None, :] * vectors[None, :, :], axis=1)
+    applied -= lam[:, None, :] * vectors[None, :, :]
+    residual = np.linalg.norm(applied, axis=1)
     if float(residual.max()) > cls_tol:
         raise DegenerateSplit(
             f"eigenvector residual {float(residual.max()):.3e} exceeds {cls_tol:.3e}"
         )
-    if float(np.abs(lam - np.round(lam)).max()) > cls_tol:
+    if float(np.minimum(np.abs(lam), np.abs(lam - 1)).max()) > cls_tol:
         raise DegenerateSplit("block eigenvalues are not 0/1 on the joint basis")
-    fixed = np.round(lam).astype(int).reshape(m, m, d)
-    sigmas = []
-    for c in range(d):
-        img = [0] * m
-        for j in range(m):
-            hits = np.flatnonzero(fixed[:, j, c])
-            if len(hits) > 1:
-                raise NotSubmagic(
-                    f"column {j + 1} fixes eigenvector {c + 1} under several blocks"
-                )
-            if len(hits) == 1:
-                img[j] = int(hits[0]) + 1
-        sigmas.append(PartialPermutation(img))
-    return sigmas
+    # the bound holds for a unitary V in exact arithmetic; eigh's V is unitary
+    # to O(d eps), and the residuals and the scan's products carry O(d eps)
+    # rounding per unit of norm (q <= 1.1), which the margin covers
+    r = np.sort(np.linalg.norm(residual, axis=1))
+    if len(r) > 1:
+        q, r1, r2 = np.abs(lam).max(), r[-1], r[-2]
+        bound = (2 * q * (r1 + r2) + 2 * r1 * r2) * (1 + 1e-6) + 64 * d * np.finfo(float).eps
+        if bound > tol:
+            _require_commuting(ops, m, tol)
+    fixed = (lam > 0.5).reshape(m, m, d)
+    hits = fixed.sum(axis=0)
+    several = (hits > 1).T
+    if several.any():
+        c, j = divmod(int(np.argmax(several)), m)
+        raise NotSubmagic(f"column {j + 1} fixes eigenvector {c + 1} under several blocks")
+    image = np.where(hits == 1, fixed.argmax(axis=0) + 1, 0)
+    return [PartialPermutation(col) for col in image.T.tolist()]
 
 
 def classical_points(

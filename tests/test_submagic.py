@@ -17,7 +17,9 @@ from _helpers import (
     reference_pre_latin,
     take_rows,
 )
+from hadperm import submagic
 from hadperm.errors import (
+    DegenerateSplit,
     FormatError,
     NotCommuting,
     NotCompletable,
@@ -507,13 +509,83 @@ class TestClassicalPoints:
     def test_non_projection_blocks_degenerate(self):
         # commuting (scalar) blocks whose eigenvalues are not 0/1: no joint
         # basis classifies, so every seeded attempt fails and the retries run out
-        from hadperm.errors import DegenerateSplit
-
         blocks = np.zeros((2, 2, 2, 2), dtype=complex)
         blocks[0, 0] = 0.5 * np.eye(2)
         blocks[1, 1] = 0.5 * np.eye(2)
         with pytest.raises(DegenerateSplit):
             classical_points(ProjGrid(blocks))
+
+    def test_integer_eigenvalues_other_than_0_1_degenerate(self):
+        # eigenvalues 2 and -1 are integers but not 0/1: neither grid has
+        # projection blocks, so no joint basis classifies
+        blocks = np.zeros((2, 2, 2, 2), dtype=complex)
+        blocks[0, 0] = 2 * np.eye(2)
+        blocks[1, 1] = np.eye(2)
+        with pytest.raises(DegenerateSplit):
+            classical_points(ProjGrid(blocks))
+        with pytest.raises(DegenerateSplit):
+            complete_commuting(ProjGrid(np.diag([1.0, -1.0])[None, None]), 2)
+
+
+class TestCommutationFromTheBasis:
+    """The joint eigenbasis certifies commutation from its residuals and
+    runs the exact pair scan only when its bound exceeds ``tol``."""
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        calls = []
+        scan = submagic._pair_defects
+
+        def counted(*args):
+            calls.append(args)
+            return scan(*args)
+
+        monkeypatch.setattr(submagic, "_pair_defects", counted)
+        return calls
+
+    @pytest.mark.parametrize("factor", [0.5, 0.9, 1.1, 2.0])
+    def test_not_commuting_exactly_above_tol(self, factor):
+        # a grid whose blocks are all 0 or I commutes up to noise**2, too
+        # little for cls_tol = 1e4 * tol to admit its residuals of order
+        # noise: those raise DegenerateSplit, which is not NotCommuting
+        rng = np.random.default_rng(73)
+        outcomes = Counter()
+        for m in (2, 3, 4, 5):
+            for d in (3, 8, 12):
+                for noise in (1e-7, 1e-5):
+                    grid, _ = known_commuting_grid(m, d, int(rng.integers(1000)))
+                    g = rng.standard_normal(grid.blocks.shape) * (1 + 1j)
+                    perturbed = ProjGrid(grid.blocks + noise * (g + g.conj().swapaxes(-1, -2)))
+                    exact = brute_force_commutator(perturbed)
+                    try:
+                        classical_points(perturbed, tol=factor * exact)
+                        outcome = "classified"
+                    except (NotCommuting, DegenerateSplit) as exc:
+                        outcome = type(exc).__name__
+                    assert (outcome == "NotCommuting") == (exact > factor * exact)
+                    outcomes[outcome] += 1
+        assert outcomes["NotCommuting" if factor < 1 else "classified"] >= 20
+
+    def test_chain_scans_once(self, scans):
+        grid = grid_from_hadamard(take_rows(fourier([2, 4]), 3))
+        assert check_grid(grid).commuting
+        square = pre_latin_from_rank_one(grid, grid.dim)
+        points = classical_points(grid)
+        full = complete_commuting(grid, grid.dim)
+        assert len(scans) == 1
+        assert semigroup_of(square) == generate_semigroup(list(points))
+        assert check_grid(full).magic
+
+    def test_fallback_scan_below_the_margin(self, scans):
+        grid = grid_from_hadamard(take_rows(fourier([2, 4]), 3))
+        commuting = check_grid(grid, 1e-15).commuting
+        del scans[:]
+        if commuting:
+            classical_points(grid, tol=1e-15)
+        else:
+            with pytest.raises(NotCommuting):
+                classical_points(grid, tol=1e-15)
+        assert len(scans) == 1
 
 
 class TestCompleteLast:
