@@ -66,13 +66,16 @@ __all__ = [
 ]
 
 _RETRY_BUDGET = 3
+_SVD_BATCH = 128
 
 
 class ProjGrid:
     """An M x M grid of d x d complex blocks, immutable after construction.
 
     ``blocks`` is a read-only complex array of shape (M, M, d, d); block
-    (i, j) in 1-based grid coordinates sits at ``blocks[i-1, j-1]``.
+    (i, j) in 1-based grid coordinates sits at ``blocks[i-1, j-1]``.  The
+    constructor copies its input and raises ``ValueError`` on another shape
+    or on a NaN or infinite entry, naming the first such block.
     """
 
     __slots__ = ("size", "dim", "blocks")
@@ -81,6 +84,10 @@ class ProjGrid:
         arr = np.array(blocks, dtype=complex)
         if arr.ndim != 4 or arr.shape[0] != arr.shape[1] or arr.shape[2] != arr.shape[3]:
             raise ValueError(f"expected (M, M, d, d) blocks, got shape {arr.shape}")
+        finite = np.isfinite(arr).all(axis=(2, 3))
+        if not finite.all():
+            i, j = np.argwhere(~finite)[0]
+            raise ValueError(f"block ({i + 1},{j + 1}) has a non-finite entry")
         arr.setflags(write=False)
         self.size = int(arr.shape[0])
         self.dim = int(arr.shape[2])
@@ -124,9 +131,10 @@ class GridReport:
     row and column sums (so magic implies submagic); ``commuting`` bounds the
     largest commutator between any two blocks.  ``worst_violations`` maps a
     label to the largest spectral-norm defect of that kind; every value is
-    the exact maximum over all blocks or pairs, and the three pairwise ones
-    (``row_orthogonality``, ``column_orthogonality``, ``commutator``) come
-    from one scan of the pair products.
+    the exact maximum over all blocks or pairs at any scale of the entries,
+    the same float that an SVD of every candidate matrix would give, and the
+    three pairwise ones (``row_orthogonality``, ``column_orthogonality``,
+    ``commutator``) come from one scan of the pair products.
     """
 
     submagic: bool
@@ -165,18 +173,21 @@ def check_grid(grid: ProjGrid, tol: float = DEFAULT_TOL) -> GridReport:
     The blockwise defects (projection, Hermitian, row and column sums) come
     from one batched pass over the blocks; the three pairwise defects (row
     and column orthogonality, commutator) come from one scan that forms each
-    pair product once.  Every reported value is the exact maximum at every
-    grid size.
+    pair product once.  Each of the seven maxima takes exact SVDs only of
+    the matrices whose Frobenius norm, an upper bound on the spectral norm,
+    can still exceed the largest spectral norm found so far
+    (:func:`_max_spectral`), so every reported value is the exact maximum at
+    every grid size and every scale.
     """
     m, d = grid.size, grid.dim
     blocks = grid.blocks
     flat = blocks.reshape(m * m, d, d)
     eye = np.eye(d)
 
-    proj_err = float(spectral_norms(np.matmul(flat, flat) - flat).max())
-    herm_err = float(spectral_norms(flat - flat.conj().transpose(0, 2, 1)).max())
-    row_sum_err = float(spectral_norms(blocks.sum(axis=1) - eye).max())
-    col_sum_err = float(spectral_norms(blocks.sum(axis=0) - eye).max())
+    proj_err = _max_spectral_of(np.matmul(flat, flat) - flat)
+    herm_err = _max_spectral_of(flat - flat.conj().transpose(0, 2, 1))
+    row_sum_err = _max_spectral_of(blocks.sum(axis=1) - eye)
+    col_sum_err = _max_spectral_of(blocks.sum(axis=0) - eye)
     row_orth, col_orth, commutator = _pair_defects(flat, m)
 
     submagic = max(proj_err, herm_err, row_orth, col_orth) <= tol
@@ -201,38 +212,113 @@ def _pair_defects(flat: np.ndarray, m: int) -> tuple[float, float, float]:
     """Exact maxima of the pairwise defects of the row-major blocks ``flat``
     of an M x M grid: (row orthogonality, column orthogonality, commutator).
 
-    One scan over the pairs (a, b > a) forms P_a P_b and P_b P_a once each.
-    The commutator takes their difference over all pairs; row orthogonality
-    takes both products over the same-row pairs, which are the first
-    ``m - 1 - a % m`` of the slice, and column orthogonality over the
-    same-column pairs, every M-th entry from ``m - 1``.  A grid of one block
-    has no pairs, so all three maxima are 0.0.
+    One scan over the pairs (a, b > a) forms P_a P_b and P_b P_a once each
+    and records the Frobenius norms of both products and of their
+    difference.  The commutator's maximum runs over all pairs; row
+    orthogonality takes both products of the same-row pairs and column
+    orthogonality those of the same-column pairs.  Each maximum then
+    re-forms, with the same matmul, only the products that
+    :func:`_max_spectral` selects for an SVD.  A grid of one block has no
+    pairs, so all three maxima are 0.0.
     """
-    row = col = comm = 0.0
-    for a in range(flat.shape[0] - 1):
-        ab = np.matmul(flat[a], flat[a + 1 :])
-        ba = np.matmul(flat[a + 1 :], flat[a])
-        comm = _raise_to_max(ab - ba, comm)
-        same_row = m - 1 - a % m
-        for prods in (ab, ba):
-            row = _raise_to_max(prods[:same_row], row)
-            col = _raise_to_max(prods[m - 1 :: m], col)
-    return row, col, comm
+    first, second = np.triu_indices(flat.shape[0], 1)
+    fro = _pair_norms(flat)
+
+    def products(line):
+        x = np.concatenate([first[line], second[line]])
+        y = np.concatenate([second[line], first[line]])
+        norms = np.concatenate([fro[0, line], fro[1, line]])
+        return _max_spectral(norms, lambda idx: np.matmul(flat[x[idx]], flat[y[idx]]))
+
+    def commutators(idx):
+        x, y = flat[first[idx]], flat[second[idx]]
+        comm = np.matmul(x, y)
+        comm -= np.matmul(y, x)
+        return comm
+
+    row = products(first // m == second // m)
+    col = products(first % m == second % m)
+    return row, col, _max_spectral(fro[2], commutators)
 
 
-def _raise_to_max(mats: np.ndarray, worst: float) -> float:
-    """The larger of ``worst`` and the spectral norms of the stack ``mats``.
+def _pair_norms(flat: np.ndarray) -> np.ndarray:
+    """Frobenius norms of P_a P_b, P_b P_a and P_a P_b - P_b P_a (rows 0, 1
+    and 2) over the pairs a < b of the stack ``flat``, in the order of
+    ``np.triu_indices(n, 1)``; the products of each a share one buffer."""
+    n, d = flat.shape[0], flat.shape[1]
+    fro = np.empty((3, n * (n - 1) // 2))
+    buffer = np.empty((3 * max(n - 1, 0), d, d), dtype=complex)
+    start = 0
+    for a in range(n - 1):
+        k = n - 1 - a
+        ab, ba, diff = buffer[: 3 * k].reshape(3, k, d, d)
+        np.matmul(flat[a], flat[a + 1 :], out=ab)
+        np.matmul(flat[a + 1 :], flat[a], out=ba)
+        np.subtract(ab, ba, out=diff)
+        fro[:, start : start + k] = _frobenius_norms(buffer[: 3 * k]).reshape(3, k)
+        start += k
+    return fro
 
-    The Frobenius norm bounds the spectral norm from above, so only matrices
-    whose Frobenius norm exceeds ``worst`` (with a relative margin against
-    rounding) need an SVD; those skipped cannot raise the maximum, and exact
-    zero products, common in submagic grids, never reach the SVD.
+
+def _max_spectral_of(mats: np.ndarray) -> float:
+    """Largest spectral norm in the stack ``mats`` (0.0 for an empty one)."""
+    return _max_spectral(_frobenius_norms(mats), mats.__getitem__)
+
+
+def _max_spectral(fro: np.ndarray, take) -> float:
+    """Largest spectral norm of n matrices, with exact SVDs only where they
+    can set it; 0.0 when n is 0.
+
+    ``fro`` holds their Frobenius norms and ``take(idx)`` forms the stack of
+    the matrices ``idx``.  The Frobenius norm bounds the spectral norm from
+    above, so the matrices are visited in descending Frobenius order, in
+    batches of 1, 2, 4, ... up to ``_SVD_BATCH``, which bounds the memory of
+    the re-formed stack; the scan stops at the first matrix whose norm,
+    with a relative margin against rounding, is not above the running
+    maximum, since neither it nor any later one can raise it.  Exact zero
+    matrices, common in submagic grids, never reach the SVD.  A NaN or
+    infinite norm, from a product that overflowed, sorts first and is
+    returned as the maximum, so it fails every ``<= tol`` test.
     """
-    fro = np.sqrt((np.abs(mats) ** 2).sum(axis=(1, 2)))
-    over = fro * (1 + 1e-6) > worst
-    if over.any():
-        worst = max(worst, float(spectral_norms(mats[over]).max()))
+    order = np.argsort(fro)[::-1]
+    if len(order) and not np.isfinite(fro[order[0]]):
+        return float(fro[order[0]])
+    worst = 0.0
+    start, size = 0, 1
+    while start < len(order):
+        batch = order[start : start + size]
+        live = int(np.count_nonzero(fro[batch] * (1 + 1e-6) > worst))
+        if live:
+            worst = max(worst, float(spectral_norms(take(batch[:live])).max()))
+        if live < len(batch):
+            break
+        start += size
+        size = min(2 * size, _SVD_BATCH)
     return worst
+
+
+def _frobenius_norms(mats: np.ndarray) -> np.ndarray:
+    """Frobenius norms of a (n, d, d) complex stack, accurate at every scale.
+
+    One pass sums the squares of the real and imaginary parts.  A sum at
+    least 2**-600 is accurate to rounding, since squares flushed to zero
+    (parts below about 1e-154) can change it by at most 2 d**2 2**-1022; a
+    finite sum had no overflow.  Any other matrix but an exact zero one is
+    summed again after an exact scaling by the power of two that brings its
+    largest part into [0.5, 1).
+    """
+    n, rows, cols = mats.shape
+    parts = mats.reshape(n, rows * cols).view(np.float64)
+    sq = np.einsum("ij,ij->i", parts, parts)
+    fro = np.sqrt(sq)
+    accurate = (sq >= 2.0**-600) & (sq < np.inf)
+    if not accurate.all():
+        top = np.maximum(parts.max(axis=1, initial=0.0), -parts.min(axis=1, initial=0.0))
+        redo = np.flatnonzero(~accurate & (top != 0))
+        _, exp = np.frexp(top[redo])
+        scaled = np.ldexp(parts[redo], -exp[:, None])
+        fro[redo] = np.ldexp(np.sqrt(np.einsum("ij,ij->i", scaled, scaled)), exp)
+    return fro
 
 
 def pre_latin_from_rank_one(

@@ -8,6 +8,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from _helpers import (
     brute_force_commutator,
@@ -18,6 +21,7 @@ from _helpers import (
     take_rows,
 )
 from hadperm import submagic
+from hadperm._linalg import spectral_norms
 from hadperm.errors import (
     DegenerateSplit,
     FormatError,
@@ -162,6 +166,16 @@ class TestProjGridOwnership:
         assert grid.blocks[0, 0, 0, 0] == 0.0
         assert arr.flags.writeable
 
+    @pytest.mark.parametrize(
+        "bad", [np.nan, np.inf, -np.inf, complex(0, np.nan), complex(1, -np.inf)]
+    )
+    def test_constructor_rejects_non_finite_blocks(self, bad):
+        blocks = np.zeros((2, 2, 3, 3), dtype=complex)
+        blocks[1, 0, 2, 1] = bad
+        blocks[1, 1, 0, 0] = bad
+        with pytest.raises(ValueError, match=r"block \(2,1\) has a non-finite entry"):
+            ProjGrid(blocks)
+
     def test_every_builder_returns_read_only_blocks(self):
         f3 = grid_from_hadamard(fourier([3]))
         square = random_grid(2, 3, 0)
@@ -217,6 +231,16 @@ class TestCheckGrid:
             report = check_grid(grid)
             assert report.submagic
             assert not report.magic or report.submagic
+
+    def test_overflowing_products_certify_nothing(self):
+        # finite blocks near 1e200 whose products overflow: inf - inf is NaN,
+        # and no defect that overflows may pass for 0.0 or for commuting
+        blocks = 1e200 * np.random.default_rng(3).standard_normal((2, 2, 2, 2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = check_grid(ProjGrid(blocks))
+        assert not (report.submagic or report.magic or report.commuting)
+        for key in ("projection", "row_orthogonality", "column_orthogonality", "commutator"):
+            assert not np.isfinite(report.worst_violations[key])
 
     def test_violation_reported(self):
         almost = np.zeros((1, 1, 2, 2), dtype=complex)
@@ -323,11 +347,84 @@ class TestPairScanMatchesReference:
             assert report.worst_violations["row_orthogonality"] > 1e-3
             assert report.worst_violations["column_orthogonality"] > 1e-3
 
+    @pytest.mark.parametrize("orders", [[16], [2, 8]])
+    def test_benchmark_size_grids(self, orders):
+        # d = 16, the largest shape the grid benchmark certifies
+        self.assert_matches(grid_from_hadamard(fourier(orders)))
+
+    def test_tiny_scale_grid(self):
+        # pair products near 1e-170 square to below the smallest float
+        blocks = 1e-85 * np.random.default_rng(11).standard_normal((2, 2, 3, 3))
+        report = self.assert_matches(ProjGrid(blocks))
+        for key in ("row_orthogonality", "column_orthogonality", "commutator"):
+            assert 1e-172 < report.worst_violations[key] < 1e-167
+
     def test_check_grid_memory_stays_small(self):
         # the dense orthogonality stack of all same-row and same-column
         # products alone took 33.6 MB at F_16
         grid = grid_from_hadamard(fourier([16]))
         assert peak_bytes(check_grid, grid) < 8e6
+
+
+@st.composite
+def matrix_stacks(draw):
+    """Small complex stacks with zero matrices, exact ties, a pair whose
+    Frobenius order is the reverse of its spectral order (c I against a
+    rank-one matrix of spectral norm between c and c sqrt(d)), and scales
+    whose squares under- or overflow."""
+    n = draw(st.integers(0, 6))
+    d = draw(st.integers(1, 4))
+    parts = hnp.arrays(np.float64, (n, d, d), elements=st.floats(-4, 4))
+    mats = draw(parts) + 1j * draw(parts)
+    mats[draw(hnp.arrays(bool, n))] = 0
+    if n >= 2 and draw(st.booleans()):
+        mats[-1] = mats[0]
+    if draw(st.booleans()):
+        c = draw(st.floats(0.25, 4))
+        peaked = np.zeros((d, d), dtype=complex)
+        peaked[0, -1] = c * (1 + np.sqrt(d)) / 2
+        mats = np.concatenate([mats, [c * np.eye(d), peaked]])
+    return mats * draw(st.sampled_from([1.0, 1e-85, 1e-160, 1e-300, 1e150]))
+
+
+class TestSpectralSelection:
+    """The maxima take exact SVDs only where they can set the maximum, and
+    still give the same float as an SVD of every matrix."""
+
+    @given(matrix_stacks())
+    @example(np.zeros((0, 3, 3), dtype=complex))
+    @example(np.zeros((5, 2, 2), dtype=complex))
+    @example(np.eye(3, dtype=complex)[None])
+    @settings(max_examples=300, deadline=None)
+    def test_selection_is_exact(self, mats):
+        expected = float(spectral_norms(mats).max(initial=0.0))
+        assert submagic._max_spectral_of(mats) == expected
+
+    @pytest.fixture
+    def svd_inputs(self, monkeypatch):
+        counts = []
+        svd = submagic.spectral_norms
+
+        def counted(batch):
+            counts.append(len(batch))
+            return svd(batch)
+
+        monkeypatch.setattr(submagic, "spectral_norms", counted)
+        return counts
+
+    def test_zero_matrices_take_no_svd(self, svd_inputs):
+        assert submagic._max_spectral_of(np.zeros((4, 3, 3), dtype=complex)) == 0.0
+        assert check_grid(ProjGrid(np.zeros((3, 3, 2, 2)))).worst_violations[
+            "commutator"
+        ] == 0.0
+        # only the three row sums and three column sums 0 - I reach the SVD
+        assert sum(svd_inputs) == 6
+
+    def test_svd_budget_on_f16(self, svd_inputs):
+        # an SVD of every matrix whose Frobenius norm exceeds the running
+        # maximum, in scan order, took 1,133
+        check_grid(grid_from_hadamard(fourier([16])))
+        assert sum(svd_inputs) <= 560
 
 
 class TestPreLatinFromRankOne:
