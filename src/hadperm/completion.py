@@ -17,8 +17,9 @@ conditions are mutually equivalent is empirically probed, never assumed:
 border test of the grid (is its corner block a projection), and is the one
 place where the four votes are assembled.
 
-Every public call computes the N minors once, and the tests that need them
-share that one pass.
+Every public call computes the N minors once, in one batched pass (one SVD
+call and one determinant call per stack of minors, and one stack for every
+N <= 40), and the tests that need them share that pass.
 
 Tolerances on determinant moduli scale with N^(N/2 - 1), since that is the
 natural magnitude of the minors.
@@ -34,7 +35,7 @@ from . import torus
 from ._linalg import DEFAULT_TOL, spectral_norm
 from .errors import IllConditioned, NotCompletable, NotHadamard
 from .submagic import _corner, grid_from_hadamard
-from .torus import TorusMatrix, is_partial_hadamard, minor_det
+from .torus import TorusMatrix, is_partial_hadamard
 
 __all__ = [
     "CriteriaReport",
@@ -116,7 +117,7 @@ def _require_shape(h: TorusMatrix) -> int:
 def _minors(h: TorusMatrix) -> np.ndarray:
     """All minor determinants det H^(j), j = 1..N."""
     n = _require_shape(h)
-    return np.array([minor_det(h, j) for j in range(1, n + 1)], dtype=complex)
+    return torus._minor_dets(h.to_complex(), range(1, n + 1))
 
 
 def _kernel(h: TorusMatrix, minors: np.ndarray, tol: float) -> KernelData:

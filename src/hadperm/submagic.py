@@ -402,7 +402,8 @@ def _joint_eigensystem(
 
 def _require_commuting(ops: np.ndarray, m: int, tol: float) -> None:
     _, _, commutator = _pair_defects(ops, m)
-    if commutator > tol:
+    # Written so that NaN fails, as in check_grid's commuting flag.
+    if not commutator <= tol:
         raise NotCommuting(f"largest commutator {commutator:.3e} exceeds tol {tol}")
 
 
@@ -418,7 +419,8 @@ def _classify_columns(
     lam = np.einsum("dc,bdc->bc", vectors.conj(), applied).real
     applied -= lam[:, None, :] * vectors[None, :, :]
     residual = np.linalg.norm(applied, axis=1)
-    if float(residual.max()) > cls_tol:
+    # Written so that NaN fails: overflowed products certify no eigenvector.
+    if not float(residual.max()) <= cls_tol:
         raise DegenerateSplit(
             f"eigenvector residual {float(residual.max()):.3e} exceeds {cls_tol:.3e}"
         )
@@ -468,7 +470,8 @@ def complete_last(grid: ProjGrid, *, tol: float = DEFAULT_TOL) -> ProjGrid:
     """
     m, d = grid.size, grid.dim
     corner, defect = _corner(grid)
-    if defect > tol:
+    # Written so that NaN fails: a corner that overflowed is not certified.
+    if not defect <= tol:
         raise NotCompletable(
             f"corner block is not a projection: ||P^2 - P|| = {defect:.3e} > {tol}",
             witness=defect,

@@ -48,6 +48,10 @@ __all__ = [
 # hand-written decimals).  Certification of matrices uses the caller's tol.
 CONSTRUCTION_TOL = 1e-6
 
+# Complex entries (1 MB) in one stack of minors; more columns go in further
+# batches, so that the minor pass needs no memory that grows as N^3.
+_MINOR_BATCH = 2**16
+
 _QUARTER_VALUES = (1 + 0j, 1j, -1 + 0j, -1j)
 _TOKEN_PHASES = {"1": (0, 1), "-1": (1, 2), "i": (1, 4), "-i": (3, 4)}
 _PHASE_TOKENS = {phase: token for token, phase in _TOKEN_PHASES.items()}
@@ -301,9 +305,10 @@ def row_quotient(h: TorusMatrix, i: int, j: int) -> TorusMatrix:
 def minor_det(h: TorusMatrix, j: int) -> complex:
     """Determinant of the square minor obtained by deleting column j (1-based).
 
-    Requires M = N - 1.  Uses pivoted elimination in double precision and
-    raises :class:`IllConditioned` when the condition-number based estimate of
-    the relative error exceeds 1e-6.
+    Requires M = N - 1.  A one-column call of the batched minor pass that
+    the completion tests use: pivoted elimination in double precision, with
+    :class:`IllConditioned` raised when the condition-number based estimate
+    of the relative error exceeds 1e-6.
     """
     if h.rows != h.cols - 1:
         raise ValueError(
@@ -311,19 +316,57 @@ def minor_det(h: TorusMatrix, j: int) -> complex:
         )
     if not 1 <= j <= h.cols:
         raise ValueError(f"column index {j} out of range")
+    return complex(_minor_dets(h.to_complex(), [j])[0])
+
+
+def _minor_dets(a: np.ndarray, cols: Sequence[int]) -> np.ndarray:
+    """Determinants of the minors of the (N-1) x N array ``a`` without each
+    of the ascending 1-based columns ``cols``.
+
+    The minors are taken in batches whose stack holds at most
+    ``_MINOR_BATCH`` entries, each in its own call so that its stack is freed
+    before the next is formed.  Raises :class:`IllConditioned` for the first
+    column whose minor is numerically singular or whose estimated relative
+    error ``n eps s_max / s_min`` exceeds 1e-6.
+    """
+    n = a.shape[0]
+    dropped = np.asarray(cols, dtype=np.intp) - 1
+    step = max(1, _MINOR_BATCH // (n * n))
+    out = np.empty(len(dropped), dtype=complex)
+    for start in range(0, len(dropped), step):
+        out[start : start + step] = _minor_batch(a, dropped[start : start + step])
+    return out
+
+
+def _minor_batch(a: np.ndarray, dropped: np.ndarray) -> np.ndarray:
+    """One batch of :func:`_minor_dets`, by 0-based dropped columns.
+
+    The minors are gathered by an index array into one (k, n, n) stack that
+    takes one SVD call and one ``det`` call; the gufuncs run LAPACK on every
+    matrix alone, so each value is the one a lone minor gives.
+    """
     rel_tol = 1e-6
-    sub = np.delete(h.to_complex(), j - 1, axis=1)
-    n = sub.shape[0]
-    s = np.linalg.svd(sub, compute_uv=False)
     eps = float(np.finfo(float).eps)
-    if s[-1] <= n * eps * s[0]:
-        raise IllConditioned(f"minor without column {j} is numerically singular")
-    if n * eps * s[0] / s[-1] > rel_tol:
+    n = a.shape[0]
+    kept = np.arange(n)
+    # stack[b, r, c] = a[r, c] left of the dropped column, a[r, c + 1] from it on
+    stack = a[kept[:, None], (kept + (kept >= dropped[:, None]))[:, None, :]]
+    s = np.linalg.svd(stack, compute_uv=False)
+    s_max, s_min = s[:, 0], s[:, -1]
+    singular = s_min <= n * eps * s_max
+    with np.errstate(divide="ignore"):
+        error = n * eps * s_max / s_min
+    failing = singular | (error > rel_tol)
+    if failing.any():
+        b = int(np.argmax(failing))
+        j = int(dropped[b]) + 1
+        if singular[b]:
+            raise IllConditioned(f"minor without column {j} is numerically singular")
         raise IllConditioned(
             f"determinant of minor without column {j}: estimated relative error "
-            f"{n * eps * s[0] / s[-1]:.3e} exceeds {rel_tol:.3e}"
+            f"{error[b]:.3e} exceeds {rel_tol:.3e}"
         )
-    return complex(np.linalg.det(sub))
+    return np.linalg.det(stack)
 
 
 # --------------------------------------------------------------------------

@@ -55,6 +55,15 @@ def take_rows(h: TorusMatrix, count: int) -> TorusMatrix:
     return TorusMatrix.from_phases(phases(h)[:count])
 
 
+def reference_minors(h: TorusMatrix) -> np.ndarray:
+    """Reference minor determinants det H^(j), j = 1..N, of an (N-1) x N
+    matrix: one ``np.delete`` and one ``det`` per column."""
+    a = h.to_complex()
+    return np.array(
+        [np.linalg.det(np.delete(a, j, axis=1)) for j in range(h.cols)], dtype=complex
+    )
+
+
 def brute_force_closure(generators) -> set:
     """Reference semigroup closure: add every pairwise product of the
     elements found so far until no new element appears."""

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hadperm import pperm
@@ -153,6 +154,17 @@ class TestCompleteGrid:
         code, _, err = run(capsys, "complete-grid", DATA / "pq_counterexample.pgrid")
         assert code == 1
         assert "projection" in err
+
+    def test_overflowing_corner_is_refused(self, capsys, tmp_path):
+        # finite blocks near 1e200 whose corner cannot be certified
+        rows = ["(1e+200,0.0) (1e+200,0.0)"] * 8
+        path = tmp_path / "huge.pgrid"
+        path.write_text("pgrid v1\n2 2\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, out, err = run(capsys, "complete-grid", path)
+        assert code == 1
+        assert out == ""
+        assert "not a projection" in err
 
     def test_pq_counterexample_to_four(self, capsys):
         code, out, _ = run(

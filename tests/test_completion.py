@@ -2,12 +2,19 @@
 modulus profile, explicit row completion, and the two grid criteria."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from _helpers import drop_last_row, exact_randomized_fourier, phases, take_rows
-from hadperm import completion, submagic
+from _helpers import (
+    drop_last_row,
+    exact_randomized_fourier,
+    phases,
+    reference_minors,
+    take_rows,
+)
+from hadperm import completion, submagic, torus
 from hadperm.completion import (
     complete_row,
     criteria,
@@ -16,7 +23,7 @@ from hadperm.completion import (
     modulus_profile,
     weighted_criterion,
 )
-from hadperm.errors import NotCompletable, NotHadamard
+from hadperm.errors import IllConditioned, NotCompletable, NotHadamard
 from hadperm.submagic import check_grid, complete_last, grid_from_hadamard
 from hadperm.torus import TorusMatrix, fourier, is_partial_hadamard, minor_det
 
@@ -287,20 +294,137 @@ class TestMinorsOncePerCall:
     @pytest.fixture
     def counted(self, monkeypatch):
         calls = []
+        batched = torus._minor_dets
 
-        def counting_minor_det(h, j, **kwargs):
-            calls.append(j)
-            return minor_det(h, j, **kwargs)
+        def counting_minor_dets(a, cols):
+            calls.append(list(cols))
+            return batched(a, cols)
 
-        monkeypatch.setattr(completion, "minor_det", counting_minor_det)
+        monkeypatch.setattr(torus, "_minor_dets", counting_minor_dets)
         return calls
 
     @pytest.mark.parametrize("n", [3, 5, 8])
     def test_complete_row_takes_n_minors(self, counted, n):
         complete_row(drop_last_row(fourier([n])))
-        assert sorted(counted) == list(range(1, n + 1))
+        assert counted == [list(range(1, n + 1))]
 
     @pytest.mark.parametrize("n", [3, 5, 8])
     def test_criteria_takes_n_minors(self, counted, n):
         assert all(criteria(drop_last_row(fourier([n]))).votes.values())
-        assert sorted(counted) == list(range(1, n + 1))
+        assert counted == [list(range(1, n + 1))]
+
+
+def float_phased_fourier(n: int, rng: np.random.Generator) -> TorusMatrix:
+    """Deleted-row F_n with random float row and column phases."""
+    rows = np.exp(2j * np.pi * rng.random(n - 1))
+    cols = np.exp(2j * np.pi * rng.random(n))
+    return TorusMatrix.from_complex(
+        rows[:, None] * fourier([n]).to_complex()[:-1] * cols[None, :]
+    )
+
+
+def minor_pool(seed: int, sizes=range(2, 25)):
+    """Exact and float deleted-row F_N with random row and column phases,
+    each followed by its perturbed twin."""
+    rng = np.random.default_rng(seed)
+    for n in sizes:
+        for h in (
+            drop_last_row(exact_randomized_fourier(n, rng)),
+            float_phased_fourier(n, rng),
+        ):
+            yield h
+            yield perturb(h, int(rng.integers(n - 1)), int(rng.integers(n)))
+
+
+def assert_bit_equal(got, want):
+    assert got.shape == want.shape
+    assert (got == want).all(), np.flatnonzero(got != want)
+
+
+class TestBatchedMinorsAreExact:
+    def test_pool_equals_per_column_reference(self):
+        for h in minor_pool(109):
+            assert_bit_equal(completion._minors(h), reference_minors(h))
+
+    def test_two_column_case(self):
+        assert_bit_equal(completion._minors(ones_row()), reference_minors(ones_row()))
+
+    def test_minor_det_equals_reference(self):
+        for h in minor_pool(113, sizes=(2, 3, 7, 16, 24)):
+            want = reference_minors(h)
+            for j in range(1, h.cols + 1):
+                assert minor_det(h, j) == want[j - 1]
+
+    @pytest.mark.parametrize("columns", [1, 2, 5])
+    def test_batches_below_the_cap(self, monkeypatch, columns):
+        # a cap of `columns` minors of 11 x 11 splits the 12 columns into
+        # several batches, the last one short when 12 is not a multiple
+        monkeypatch.setattr(torus, "_MINOR_BATCH", columns * 11 * 11)
+        for h in minor_pool(127, sizes=(12,)):
+            assert_bit_equal(completion._minors(h), reference_minors(h))
+
+    def test_above_the_cap_memory_is_bounded(self):
+        h = TorusMatrix.from_complex(fourier([96]).to_complex()[:-1])
+        assert 95 * 95 * 96 > torus._MINOR_BATCH
+        tracemalloc.start()
+        try:
+            minors = completion._minors(h)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+        assert_bit_equal(minors, reference_minors(h))
+
+    def test_benchmark_sizes_take_one_batch(self, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+
+        def counting_svd(a, *args, **kwargs):
+            calls.append(a.shape)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        completion._minors(drop_last_row(fourier([24])))
+        assert calls == [(24, 23, 23)]
+
+
+def close_columns(angle: float) -> TorusMatrix:
+    """F_4 without its last row, with column 2 replaced by column 1 turned
+    by ``angle * r`` in row r (equal columns at angle 0)."""
+    a = fourier([4]).to_complex()[:-1].copy()
+    a[:, 1] = a[:, 0] * np.exp(1j * angle * np.arange(3))
+    return TorusMatrix.from_complex(a)
+
+
+class TestIllConditionedNamesFirstColumn:
+    # every minor keeping both columns 1 and 2 is (nearly) singular, so the
+    # first failing column is 3
+    CASES = [
+        (0.0, r"^minor without column 3 is numerically singular$"),
+        (
+            1e-11,
+            r"^determinant of minor without column 3: estimated relative error "
+            r"\d\.\d{3}e-0\d exceeds 1\.000e-06$",
+        ),
+    ]
+
+    @pytest.mark.parametrize("angle, message", CASES)
+    def test_minor_det(self, angle, message):
+        h = close_columns(angle)
+        assert minor_det(h, 1) == reference_minors(h)[0]
+        assert minor_det(h, 2) == reference_minors(h)[1]
+        with pytest.raises(IllConditioned, match=message):
+            minor_det(h, 3)
+        with pytest.raises(IllConditioned, match=message.replace("3", "4", 1)):
+            minor_det(h, 4)
+
+    @pytest.mark.parametrize("call", [complete_row, criteria, modulus_profile])
+    @pytest.mark.parametrize("angle, message", CASES)
+    def test_completion_calls(self, call, angle, message):
+        with pytest.raises(IllConditioned, match=message):
+            call(close_columns(angle))
+
+    def test_first_failing_column_in_a_later_batch(self, monkeypatch):
+        monkeypatch.setattr(torus, "_MINOR_BATCH", 2 * 3 * 3)
+        with pytest.raises(IllConditioned, match="without column 3 is"):
+            complete_row(close_columns(0.0))

@@ -587,6 +587,21 @@ class TestClassicalPoints:
         with pytest.raises(NotCommuting):
             classical_points(grid)
 
+    @pytest.mark.parametrize("n, scale", [(3, 1e200), (2, 1e308)])
+    def test_overflowing_grid_is_not_commuting(self, n, scale):
+        # products overflow, so the commutator and (at 1e308) the eigenvector
+        # residuals are NaN; NotCommuting is raised exactly when check_grid
+        # reports the grid non-commuting
+        grid = ProjGrid(scale * grid_from_hadamard(fourier([n])).blocks)
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = check_grid(grid)
+            assert not report.commuting
+            assert np.isnan(report.worst_violations["commutator"])
+            with pytest.raises(NotCommuting, match="largest commutator nan"):
+                classical_points(grid)
+            with pytest.raises(NotCommuting, match="largest commutator nan"):
+                complete_commuting(grid, 4)
+
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("d", [1, 3, 8, 12])
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
@@ -705,6 +720,13 @@ class TestCompleteLast:
         assert np.abs(full.blocks[0, 1] - (eye - p)).max() <= 1e-15
         assert np.abs(full.blocks[1, 1] - p).max() <= 1e-12
         assert check_grid(full, 1e-9).magic
+
+    def test_overflowing_corner_not_completable(self):
+        # blocks near 1e200: the corner's square overflows and its defect is NaN
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NotCompletable, match="not a projection") as err:
+                complete_last(ProjGrid(np.full((2, 2, 2, 2), 1e200)))
+        assert np.isnan(err.value.witness)
 
     def test_pq_counterexample_not_completable(self):
         with pytest.raises(NotCompletable) as err:
