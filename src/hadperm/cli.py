@@ -200,7 +200,17 @@ def _cmd_semigroup(args) -> int:
 
 def _cmd_count(args) -> int:
     value = pperm.count_all(args.n)
-    _emit(args, {"n": args.n, "count": value}, [str(value)])
+    # Python 3.11+ converts no int past 4300 digits (count 1548 and up) to
+    # text unless the cap is lifted; lift it for this one report only.
+    capped = hasattr(sys, "set_int_max_str_digits")  # no cap before 3.11
+    if capped:
+        cap = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+    try:
+        _emit(args, {"n": args.n, "count": value}, [str(value)])
+    finally:
+        if capped:
+            sys.set_int_max_str_digits(cap)
     return EXIT_OK
 
 

@@ -17,12 +17,19 @@ right by each of the k distinct generators reaches the whole closure S in
 nondecreasing word length.  A closure that grows past ``CLOSURE_LIMIT``
 elements, the order of the full semigroup on DEFAULT_ENUM_LIMIT points, raises
 ``LimitExceeded``.
+
+The closure and the enumeration run on plain image tuples padded with a
+leading 0, so that index 0 stands for an undefined point: the product x g is
+then one ``operator.itemgetter(0, *g.image)`` applied to padded x, and the
+set of elements found hashes and compares tuples in C.  Each result is
+wrapped as a :class:`PartialPermutation` once, at the end.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -194,14 +201,19 @@ def enumerate_all(
         raise ValueError("n must be positive")
     if n > limit:
         raise LimitExceeded(f"enumeration size {n} exceeds limit {limit}")
+    points = range(1, n + 1)
+    pad = (0,).__add__
+    unpad = itemgetter(slice(1, None))
     for k in range(n + 1):
         batch = []
-        for positions in itertools.combinations(range(n), k):
-            for values in itertools.permutations(range(1, n + 1), k):
-                img = [0] * n
-                for pos, val in zip(positions, values):
-                    img[pos] = val
-                batch.append(tuple(img))
+        for positions in itertools.combinations(points, k):
+            # point j reads entry place[j] of (0,) + values, which is the 0
+            # of an undefined point unless j is one of the positions
+            place = [0] * (n + 1)
+            for slot, j in enumerate(positions, start=1):
+                place[j] = slot
+            get = itemgetter(*place)
+            batch += map(unpad, map(get, map(pad, itertools.permutations(points, k))))
         batch.sort()
         for img in batch:
             yield _trusted(img)
@@ -264,8 +276,9 @@ def generate_semigroup(generators: Iterable[PartialPermutation]) -> Semigroup:
     order found, is multiplied on the right by every distinct generator, and
     unseen products are appended.  Since every element is a word in the
     generators this reaches the whole closure S with |S|*k compositions for
-    k distinct generators.  Element order is the generators (first
-    occurrence order), then the products in nondecreasing word length, so
+    k distinct generators.  Element order is the generators (the caller's
+    objects, in first occurrence order), then the products in nondecreasing
+    word length, so
     reports are reproducible.  Raises :class:`LimitExceeded` once the
     closure holds more than ``CLOSURE_LIMIT`` elements.
     """
@@ -277,22 +290,22 @@ def generate_semigroup(generators: Iterable[PartialPermutation]) -> Semigroup:
         if g.size != size:
             raise SizeMismatch(f"generator sizes differ: {g.size} vs {size}")
     unique_gens = list(dict.fromkeys(gens))
-    seen: set[PartialPermutation] = set(unique_gens)
-    order: list[PartialPermutation] = list(unique_gens)
-    idx = 0
-    while idx < len(order):
+    # padded tuples: step(x) = x[0], x[g(1)], ..., x[g(M)] is the padded x g
+    steps = [itemgetter(0, *g.image) for g in unique_gens]
+    order = [(0,) + g.image for g in unique_gens]
+    seen = set(order)
+    for x in order:
         if len(order) > CLOSURE_LIMIT:
             raise LimitExceeded(
                 f"semigroup closure exceeds {CLOSURE_LIMIT} elements"
             )
-        x = order[idx]
-        idx += 1
-        for g in unique_gens:
-            product = compose(x, g)
+        for step in steps:
+            product = step(x)
             if product not in seen:
                 seen.add(product)
                 order.append(product)
-    return Semigroup(size, order, unique_gens)
+    found = [_trusted(p[1:]) for p in order[len(unique_gens):]]
+    return Semigroup(size, unique_gens + found, unique_gens)
 
 
 def embed_total(sigma: PartialPermutation, n: int) -> PartialPermutation:

@@ -99,10 +99,20 @@ def sigma_of(square: PreLatinSquare, x: int) -> PartialPermutation:
 
 
 def semigroup_of(square: PreLatinSquare) -> Semigroup:
-    """Closure of {sigma_x : 1 <= x <= alphabet} under composition."""
-    return generate_semigroup(
-        sigma_of(square, x) for x in range(1, square.alphabet + 1)
-    )
+    """Closure of {sigma_x : 1 <= x <= alphabet} under composition.
+
+    Only the values present in the square are visited, so the work does not
+    grow with the alphabet: distinct present values give distinct nonempty
+    maps, and every absent value gives the same empty map, which enters the
+    generators once, at the first absent value.
+    """
+    present = sorted({v for row in square.entries for v in row})
+    gens = [sigma_of(square, x) for x in present]
+    if len(present) < square.alphabet:
+        # values 1..gap are all present, so gap + 1 is the first absent one
+        gap = next((k for k, x in enumerate(present) if x != k + 1), len(present))
+        gens.insert(gap, PartialPermutation.empty(square.size))
+    return generate_semigroup(gens)
 
 
 # --------------------------------------------------------------------------

@@ -345,7 +345,7 @@ def pre_latin_from_rank_one(
         a = int(np.argmax(bad))
         raise RankError(
             f"block ({a // m + 1},{a % m + 1}) is not a rank-one projection "
-            f"(top eigenvalue {w[a, -1]:.6f}, remaining bound {rest[a]:.6f})"
+            f"(top eigenvalue {w[a, -1]:.6g}, remaining bound {rest[a]:.6g})"
         )
     _, sigmas = _joint_eigensystem(grid, tol, 0)
     column = {(i, j): c for c, s in enumerate(sigmas) for j, i in enumerate(s.image) if i}
@@ -370,7 +370,8 @@ def _joint_eigensystem(
     SIAM J. Matrix Anal. Appl. 2024); each attempt takes V from one
     eigendecomposition of such a sum.  Residuals and 0/1 eigenvalues are
     verified on every column; a sum that merges two joint eigenspaces fails
-    that test, and the procedure reseeds and retries.
+    that test, and the procedure reseeds and retries.  An ``eigh`` that does
+    not converge (seen on sums of huge finite blocks) is a failed attempt too.
 
     The residuals also bound the commutators: P_b = V Lambda_b V* + E_b with
     ||E_b|| <= r_b, the Frobenius norm of block b's residual columns, and the
@@ -383,14 +384,15 @@ def _joint_eigensystem(
     m, d = grid.size, grid.dim
     ops = grid.blocks.reshape(m * m, d, d)
     cls_tol = min(0.1, max(1e4 * tol, 1e-8))
-    last_error: DegenerateSplit | None = None
+    last_error: DegenerateSplit | np.linalg.LinAlgError | None = None
     for attempt in range(_RETRY_BUDGET):
         rng = np.random.default_rng(seed + attempt)
         weights = rng.standard_normal(m * m)
-        _, vectors = np.linalg.eigh(hermitize(np.tensordot(weights, ops, axes=1)))
         try:
+            # eigh fails to converge on some sums of huge finite blocks
+            _, vectors = np.linalg.eigh(hermitize(np.tensordot(weights, ops, axes=1)))
             sigmas = _classify_columns(ops, vectors, m, cls_tol, tol)
-        except DegenerateSplit as exc:
+        except (DegenerateSplit, np.linalg.LinAlgError) as exc:
             last_error = exc
             continue
         return vectors, sigmas

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 
@@ -62,6 +62,37 @@ def reference_minors(h: TorusMatrix) -> np.ndarray:
     return np.array(
         [np.linalg.det(np.delete(a, j, axis=1)) for j in range(h.cols)], dtype=complex
     )
+
+
+def reference_closure(generators) -> list[PartialPermutation]:
+    """Reference closure order: breadth-first search of the right Cayley
+    graph with one ``compose`` per product, the generators first in
+    first-occurrence order."""
+    unique = list(dict.fromkeys(generators))
+    order, seen = list(unique), set(unique)
+    for x in order:
+        for g in unique:
+            product = compose(x, g)
+            if product not in seen:
+                seen.add(product)
+                order.append(product)
+    return order
+
+
+def reference_enumeration(n: int) -> list[PartialPermutation]:
+    """Reference enumeration order: by number of defined points, then
+    lexicographically on the image, each image built point by point."""
+    out = []
+    for k in range(n + 1):
+        batch = []
+        for positions in combinations(range(n), k):
+            for values in permutations(range(1, n + 1), k):
+                img = [0] * n
+                for pos, val in zip(positions, values):
+                    img[pos] = val
+                batch.append(tuple(img))
+        out += [PartialPermutation(img) for img in sorted(batch)]
+    return out
 
 
 def brute_force_closure(generators) -> set:

@@ -51,6 +51,27 @@ class TestCount:
         code, out, _ = run(capsys, "count", "6", "--json")
         assert json.loads(out)["count"] == 13327
 
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_count_past_int_digit_cap(self, capsys, flags):
+        # count_all(2000) has 5,773 digits; Python 3.11+ converts at most
+        # 4,300 by default, and the report must leave that cap as it was
+        cap = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        code, out, _ = run(capsys, "count", "2000", *flags)
+        assert code == 0
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == cap
+        text = out.strip()
+        if flags:
+            head = '{"n": 2000, "count": '
+            assert text.startswith(head) and text.endswith("}")
+            text = text[len(head):-1]
+        assert len(text) == 5773 and text.isdigit()
+        # read back in chunks, each under the cap
+        value = 0
+        for k in range(0, len(text), 1000):
+            chunk = text[k:k + 1000]
+            value = value * 10 ** len(chunk) + int(chunk)
+        assert value == pperm.count_all(2000)
+
 
 class TestEnumerate:
     def test_two(self, capsys):

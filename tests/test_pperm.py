@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from _helpers import brute_force_closure
+from _helpers import brute_force_closure, reference_closure, reference_enumeration
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -268,6 +268,7 @@ class TestSemigroup:
         sg = generate_semigroup(gens)
         assert len(sg) == 1546
         assert set(sg.elements) == set(enumerate_all(5))
+        assert [e.image for e in sg.elements] == [e.image for e in reference_closure(gens)]
 
     def test_order_is_generators_then_word_length(self):
         gens = [pp(2, 0, 3), pp(3, 1, 2), pp(2, 0, 3), pp(0, 2, 3)]
@@ -308,6 +309,55 @@ class TestSemigroup:
     def test_size_mismatch(self):
         with pytest.raises(SizeMismatch):
             generate_semigroup([pp(1), pp(1, 2)])
+
+
+def random_generators(m, rng):
+    """1 to 4 random partial permutations of size m, with an occasional
+    repeated generator and an occasional empty map."""
+    gens = []
+    for _ in range(int(rng.integers(1, 5))):
+        perm = rng.permutation(m) + 1
+        mask = rng.random(m) < 0.75
+        gens.append(PartialPermutation(perm * mask))
+    if rng.random() < 0.3:
+        gens.append(PartialPermutation.empty(m))
+    if rng.random() < 0.3:
+        # an equal but distinct object: the first occurrence is kept
+        gens.insert(int(rng.integers(0, len(gens) + 1)), PartialPermutation(gens[0].image))
+    return [gens[k] for k in rng.permutation(len(gens))]
+
+
+class TestExactOrder:
+    """Element order equals the compose-based references exactly."""
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_enumeration(self, n):
+        images = [s.image for s in enumerate_all(n)]
+        assert images == [s.image for s in reference_enumeration(n)]
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_closure_of_random_generators(self, m):
+        rng = np.random.default_rng([41, m])
+        for _ in range(20):
+            gens = random_generators(m, rng)
+            sg = generate_semigroup(gens)
+            expected = reference_closure(gens)
+            assert [e.image for e in sg.elements] == [e.image for e in expected]
+            # the caller's own objects, deduplicated in first-occurrence order
+            firsts = []
+            for g in gens:
+                if g not in firsts:
+                    firsts.append(g)
+            assert len(sg.generators) == len(firsts)
+            assert all(a is b for a, b in zip(sg.generators, firsts))
+            assert all(a is b for a, b in zip(sg.elements, firsts))
+
+    def test_closure_on_many_points(self):
+        # the powers of a 300-cycle: images well past 255
+        cycle = PartialPermutation([j % 300 + 1 for j in range(1, 301)])
+        sg = generate_semigroup([cycle])
+        assert len(sg) == 300 and sg.is_group()
+        assert [e.image for e in sg.elements] == [e.image for e in reference_closure([cycle])]
 
 
 class TestEmbedTotal:

@@ -10,7 +10,8 @@ from hadperm.errors import (
     FormatError,
     OutOfAlphabet,
 )
-from hadperm.pperm import PartialPermutation
+from hadperm import prelatin
+from hadperm.pperm import PartialPermutation, generate_semigroup
 from hadperm.prelatin import (
     PreLatinSquare,
     format_pls,
@@ -146,6 +147,34 @@ class TestSemigroupOf:
         # alphabet value 4 never occurs: the empty map is a generator
         sg = semigroup_of(PreLatinSquare([[1, 2], [3, 1]], 4))
         assert PartialPermutation.empty(2) in sg
+
+    def test_matches_per_value_generators(self):
+        # absent symbols anywhere in the alphabet, including past the largest
+        # symbol of the underlying Latin square
+        rng = np.random.default_rng(43)
+        for _ in range(30):
+            n = int(rng.integers(2, 7))
+            m = int(rng.integers(1, n + 1))
+            corner = random_pre_latin(m, n, rng)
+            square = PreLatinSquare(corner.entries, n + int(rng.integers(0, 3)))
+            per_value = generate_semigroup(
+                sigma_of(square, x) for x in range(1, square.alphabet + 1)
+            )
+            sg = semigroup_of(square)
+            assert [g.image for g in sg.generators] == [g.image for g in per_value.generators]
+            assert [e.image for e in sg.elements] == [e.image for e in per_value.elements]
+
+    def test_huge_alphabet_visits_present_values_only(self, monkeypatch):
+        calls = []
+
+        def counted(square, x):
+            calls.append(x)
+            return sigma_of(square, x)
+
+        monkeypatch.setattr(prelatin, "sigma_of", counted)
+        sg = semigroup_of(PreLatinSquare([[1]], 10**9))
+        assert calls == [1]
+        assert [g.image for g in sg.generators] == [(1,), (0,)]
 
 
 class TestGridSoundness:

@@ -457,6 +457,12 @@ class TestPreLatinFromRankOne:
         with pytest.raises(RankError):
             pre_latin_from_rank_one(ProjGrid(eye), 2)
 
+    def test_rank_error_text_stays_short_on_huge_blocks(self):
+        grid = ProjGrid(1e200 * grid_from_hadamard(fourier([3])).blocks)
+        with pytest.raises(RankError, match=r"top eigenvalue 1e\+200, ") as err:
+            pre_latin_from_rank_one(grid, 3)
+        assert len(str(err.value)) < 120
+
     def test_rank_error_on_negative_eigenvalue(self):
         # top two eigenvalues look rank-one (1 and 0); the negative one must
         # still disqualify the block
@@ -587,11 +593,12 @@ class TestClassicalPoints:
         with pytest.raises(NotCommuting):
             classical_points(grid)
 
-    @pytest.mark.parametrize("n, scale", [(3, 1e200), (2, 1e308)])
+    @pytest.mark.parametrize("n, scale", [(3, 1e200), (2, 1e308), (3, 1e308), (4, 1e308)])
     def test_overflowing_grid_is_not_commuting(self, n, scale):
         # products overflow, so the commutator and (at 1e308) the eigenvector
-        # residuals are NaN; NotCommuting is raised exactly when check_grid
-        # reports the grid non-commuting
+        # residuals are NaN, and at 1e308 on F_3 and F_4 eigh does not
+        # converge; NotCommuting is raised exactly when check_grid reports
+        # the grid non-commuting
         grid = ProjGrid(scale * grid_from_hadamard(fourier([n])).blocks)
         with np.errstate(over="ignore", invalid="ignore"):
             report = check_grid(grid)
