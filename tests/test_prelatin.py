@@ -169,6 +169,8 @@ class TestSemigroupOf:
 
         def counted(square, x):
             calls.append(x)
+            # fail at once rather than visit all 10**9 symbols
+            assert len(calls) == 1, "sigma_of called for an absent symbol"
             return sigma_of(square, x)
 
         monkeypatch.setattr(prelatin, "sigma_of", counted)
