@@ -208,7 +208,9 @@ def enumerate_all(
         batch = []
         for positions in itertools.combinations(points, k):
             # point j reads entry place[j] of (0,) + values, which is the 0
-            # of an undefined point unless j is one of the positions
+            # of an undefined point unless j is one of the positions; the
+            # output keeps a leading 0 (place[0]) so that itemgetter returns
+            # a tuple even for n = 1, and unpad drops it at once
             place = [0] * (n + 1)
             for slot, j in enumerate(positions, start=1):
                 place[j] = slot
