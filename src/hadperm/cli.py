@@ -63,8 +63,12 @@ def _flag(value: bool) -> str:
 
 
 def _load_grid(path: str, tol: float) -> submagic.ProjGrid:
+    """The grid of a .phm file (submagic by construction), or a .pgrid file
+    certified submagic at ``tol``, since ``complete_last`` trusts its input."""
     if path.endswith(".pgrid"):
-        return submagic.read_pgrid(path)
+        grid = submagic.read_pgrid(path)
+        submagic._require_submagic(grid, tol)
+        return grid
     return submagic.grid_from_hadamard(torus.read_phm(path), tol=tol)
 
 
@@ -184,16 +188,18 @@ def _cmd_criteria(args) -> int:
 def _cmd_semigroup(args) -> int:
     square = prelatin.read_pls(args.input)
     group = prelatin.semigroup_of(square)
-    text = pperm.format_semigroup(group)
+    # the header line, then one formatted element per line
+    lines = pperm.format_semigroup(group).splitlines()
+    is_group = group.is_group()
     _emit(
         args,
         {
             "size": group.size,
             "order": len(group),
-            "is_group": group.is_group(),
-            "elements": [pperm.format_pperm(e) for e in group],
+            "is_group": is_group,
+            "elements": lines[1:],
         },
-        [text.rstrip("\n"), f"# is_group: {_flag(group.is_group())}"],
+        [*lines, f"# is_group: {_flag(is_group)}"],
     )
     return EXIT_OK
 

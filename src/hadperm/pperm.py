@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -90,28 +90,12 @@ class PartialPermutation:
         """The nowhere-defined map."""
         return cls([0] * size)
 
-    @classmethod
-    def from_pairs(cls, size: int, pairs: Mapping[int, int]) -> "PartialPermutation":
-        """Build from a {j: sigma(j)} mapping with 1-based points."""
-        img = [0] * size
-        for j, i in pairs.items():
-            if not (1 <= j <= size and 1 <= i <= size):
-                raise ValueError(f"pair {j}->{i} out of range for size {size}")
-            img[j - 1] = i
-        return cls(img)
-
     def __call__(self, j: int) -> int | None:
         """sigma(j) for 1-based j, or None where undefined."""
         if not 1 <= j <= self.size:
             raise ValueError(f"point {j} out of range")
         v = self.image[j - 1]
         return v if v else None
-
-    def domain(self) -> frozenset[int]:
-        return frozenset(j for j, v in enumerate(self.image, start=1) if v)
-
-    def image_set(self) -> frozenset[int]:
-        return frozenset(v for v in self.image if v)
 
     @property
     def defect(self) -> int:
@@ -227,10 +211,11 @@ class Semigroup:
     ``elements`` keeps the deterministic closure order of
     :func:`generate_semigroup`: the generators first, then the other
     elements in nondecreasing word length.  ``generators`` records the
-    deduplicated generating set.
+    deduplicated generating set.  Membership (``x in semigroup``) scans
+    ``elements``.
     """
 
-    __slots__ = ("size", "elements", "generators", "_members")
+    __slots__ = ("size", "elements", "generators")
 
     def __init__(
         self,
@@ -241,7 +226,6 @@ class Semigroup:
         self.size = size
         self.elements = tuple(elements)
         self.generators = tuple(generators)
-        self._members = frozenset(self.elements)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -249,23 +233,19 @@ class Semigroup:
     def __iter__(self):
         return iter(self.elements)
 
-    def __contains__(self, item) -> bool:
-        return item in self._members
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Semigroup):
             return NotImplemented
-        return self.size == other.size and self._members == other._members
+        return self.size == other.size and set(self.elements) == set(other.elements)
 
     __hash__ = None
 
     def is_group(self) -> bool:
         """True when the elements form a group of total permutations."""
-        if PartialPermutation.identity(self.size) not in self._members:
+        members = set(self.elements)
+        if PartialPermutation.identity(self.size) not in members:
             return False
-        return all(
-            e.is_total and invert(e) in self._members for e in self.elements
-        )
+        return all(e.is_total and invert(e) in members for e in self.elements)
 
     def __repr__(self) -> str:
         return f"Semigroup(size={self.size}, order={len(self.elements)})"

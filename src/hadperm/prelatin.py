@@ -22,7 +22,6 @@ __all__ = [
     "sigma_of",
     "semigroup_of",
     "parse_pls",
-    "format_pls",
     "read_pls",
 ]
 
@@ -60,12 +59,6 @@ class PreLatinSquare:
         self.size = m
         self.alphabet = alphabet
         self.entries = rows
-
-    def entry(self, i: int, j: int) -> int:
-        """Entry at 1-based position (i, j)."""
-        if not (1 <= i <= self.size and 1 <= j <= self.size):
-            raise ValueError(f"index ({i},{j}) out of range")
-        return self.entries[i - 1][j - 1]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PreLatinSquare):
@@ -148,13 +141,6 @@ def parse_pls(text: str) -> PreLatinSquare:
         except ValueError as exc:
             raise FormatError(f"bad entry in {line!r}") from exc
     return PreLatinSquare(entries, alphabet)
-
-
-def format_pls(square: PreLatinSquare) -> str:
-    lines = ["pls v1", f"{square.size} {square.alphabet}"]
-    for row in square.entries:
-        lines.append(" ".join(str(v) for v in row))
-    return "\n".join(lines) + "\n"
 
 
 def read_pls(path) -> PreLatinSquare:

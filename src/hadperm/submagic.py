@@ -439,10 +439,13 @@ def _classify_columns(
             _require_commuting(ops, m, tol)
     fixed = (lam > 0.5).reshape(m, m, d)
     hits = fixed.sum(axis=0)
-    several = (hits > 1).T
-    if several.any():
-        c, j = divmod(int(np.argmax(several)), m)
-        raise NotSubmagic(f"column {j + 1} fixes eigenvector {c + 1} under several blocks")
+    # a vector fixed twice in one column, or in one row, is no partial
+    # permutation's point: the blocks of that line are not orthogonal
+    for line, count in (("column", hits), ("row", fixed.sum(axis=1))):
+        several = (count > 1).T
+        if several.any():
+            c, k = divmod(int(np.argmax(several)), m)
+            raise NotSubmagic(f"{line} {k + 1} fixes eigenvector {c + 1} under several blocks")
     image = np.where(hits == 1, fixed.argmax(axis=0) + 1, 0)
     return [PartialPermutation(col) for col in image.T.tolist()]
 
@@ -468,7 +471,9 @@ def complete_last(grid: ProjGrid, *, tol: float = DEFAULT_TOL) -> ProjGrid:
     complements column j, and the corner is ``sum of all blocks - (M-1)``.
     The completion exists exactly when the corner is a projection; otherwise
     :class:`NotCompletable` is raised with the corner's idempotency defect as
-    witness.
+    witness.  The input must be submagic and is not certified here (a
+    :func:`check_grid` pass costs more than the completion); a grid that is
+    not submagic can give a border that is not magic.
     """
     m, d = grid.size, grid.dim
     corner, defect = _corner(grid)
@@ -547,11 +552,7 @@ def complete_2x2_to_4x4(grid: ProjGrid, *, tol: float = DEFAULT_TOL) -> ProjGrid
     """
     if grid.size != 2:
         raise ValueError(f"expected a 2 x 2 grid, got {grid.size} x {grid.size}")
-    report = check_grid(grid, tol)
-    if not report.submagic:
-        raise NotSubmagic(
-            f"input is not submagic at tol {tol}: {report.worst_violations}"
-        )
+    _require_submagic(grid, tol)
     p, r = grid.blocks[0, 0], grid.blocks[0, 1]
     s, q = grid.blocks[1, 0], grid.blocks[1, 1]
     eye = np.eye(grid.dim)
@@ -565,6 +566,16 @@ def complete_2x2_to_4x4(grid: ProjGrid, *, tol: float = DEFAULT_TOL) -> ProjGrid
         ]
     )
     return _trusted(blocks)
+
+
+def _require_submagic(grid: ProjGrid, tol: float) -> None:
+    """Raise :class:`NotSubmagic` unless :func:`check_grid` certifies the grid
+    submagic at ``tol``."""
+    report = check_grid(grid, tol)
+    if not report.submagic:
+        raise NotSubmagic(
+            f"input is not submagic at tol {tol}: {report.worst_violations}"
+        )
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,6 @@ __all__ = [
     "parse_phm",
     "format_phm",
     "read_phm",
-    "write_phm",
 ]
 
 # Modulus slack accepted when *constructing* float entries (e.g. parsing
@@ -456,7 +455,3 @@ def format_phm(h: TorusMatrix) -> str:
 
 def read_phm(path) -> TorusMatrix:
     return parse_phm(Path(path).read_text(encoding="utf-8"))
-
-
-def write_phm(path, h: TorusMatrix) -> None:
-    Path(path).write_text(format_phm(h), encoding="utf-8")

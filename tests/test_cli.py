@@ -10,6 +10,14 @@ import pytest
 
 from hadperm import pperm
 from hadperm.cli import build_parser, main
+from hadperm.submagic import (
+    ProjGrid,
+    check_grid,
+    format_pgrid,
+    parse_pgrid,
+    random_grid,
+    read_pgrid,
+)
 from hadperm.torus import format_phm, fourier
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -111,13 +119,13 @@ class TestCompleteRow:
         # perturb one phase of the shipped instance
         import numpy as np
 
-        from hadperm.torus import TorusMatrix, read_phm, write_phm
+        from hadperm.torus import TorusMatrix, read_phm
 
         h = read_phm(DATA / "f3_top2.phm")
         a = h.to_complex().copy()
         a[1, 1] *= np.exp(0.05j)
         bad = tmp_path / "bad.phm"
-        write_phm(bad, TorusMatrix.from_complex(a))
+        bad.write_text(format_phm(TorusMatrix.from_complex(a)), encoding="utf-8")
         code, _, err = run(capsys, "complete-row", bad, "--tol", "1e-8")
         assert code == 1
         assert "constant" in err
@@ -154,12 +162,12 @@ class TestGrid:
     def test_non_commuting_grid_has_no_square(self, capsys, tmp_path):
         import numpy as np
 
-        from hadperm.torus import TorusMatrix, write_phm
+        from hadperm.torus import TorusMatrix
 
         values = np.array([1, np.exp(0.7j), -1, -np.exp(0.7j)])
         h = TorusMatrix.from_complex(np.vstack([np.ones(4), values]))
         path = tmp_path / "noncomm.phm"
-        write_phm(path, h)
+        path.write_text(format_phm(h), encoding="utf-8")
         code, out, _ = run(capsys, "grid", path)
         assert code == 0
         assert "commuting: false" in out
@@ -177,7 +185,8 @@ class TestCompleteGrid:
         assert "projection" in err
 
     def test_overflowing_corner_is_refused(self, capsys, tmp_path):
-        # finite blocks near 1e200 whose corner cannot be certified
+        # finite blocks near 1e200 whose corner cannot be certified; the
+        # .pgrid check refuses them before the border completion runs
         rows = ["(1e+200,0.0) (1e+200,0.0)"] * 8
         path = tmp_path / "huge.pgrid"
         path.write_text("pgrid v1\n2 2\n" + "\n".join(rows) + "\n", encoding="utf-8")
@@ -185,7 +194,7 @@ class TestCompleteGrid:
             code, out, err = run(capsys, "complete-grid", path)
         assert code == 1
         assert out == ""
-        assert "not a projection" in err
+        assert "input is not submagic" in err
 
     def test_pq_counterexample_to_four(self, capsys):
         code, out, _ = run(
@@ -205,6 +214,58 @@ class TestCompleteGrid:
         )
         assert code == 0
         assert out.startswith("pgrid v1\n4 4\n")
+
+
+class TestPgridIsCertified:
+    """complete-grid refuses .pgrid input that check_grid does not certify
+    submagic, at every target, before any completion runs."""
+
+    # row 1 holds two blocks that fix the same vector, so it is not orthogonal
+    ROW_CLASH = "pgrid v1\n2 1\n\n(1.0,0.0)\n\n(1.0,0.0)\n\n(0.0,0.0)\n\n(0.0,0.0)\n"
+    # one block that is not a projection
+    HALF = "pgrid v1\n1 1\n\n(0.5,0.0)\n"
+
+    @pytest.mark.parametrize("target", [None, "3", "4", "5"])
+    @pytest.mark.parametrize("text", [ROW_CLASH, HALF], ids=["row_clash", "half"])
+    def test_not_submagic_is_refused(self, capsys, tmp_path, text, target):
+        path = tmp_path / "bad.pgrid"
+        path.write_text(text, encoding="utf-8")
+        flags = [] if target is None else ["--target", target]
+        code, out, err = run(capsys, "complete-grid", path, *flags)
+        assert code == 1
+        assert out == ""
+        assert "input is not submagic at tol 1e-09" in err
+
+    def test_mutated_grids_complete_only_to_magic(self, capsys, tmp_path):
+        # seeded mutations of submagic grids: scale a block, swap two blocks,
+        # or add noise.  A grid is refused (exit 1) or completed, and what
+        # completes must be certified magic; random_grid(2, 1, 0) is the
+        # identity diagonal, which one swap turns into a row of two 1s
+        rng = np.random.default_rng(2013)
+        bases = [read_pgrid(DATA / "pq_counterexample.pgrid").blocks] + [
+            random_grid(2, d, seed).blocks for d, seed in ((1, 0), (2, 2), (3, 3))
+        ]
+        path = tmp_path / "mutant.pgrid"
+        completed = 0
+        for k in range(100):
+            blocks = bases[k % len(bases)].copy()
+            a, b = (divmod(int(v), 2) for v in rng.choice(4, size=2, replace=False))
+            kind = int(rng.integers(3))
+            if kind == 0:
+                blocks[a] *= rng.choice([0.0, -1.0, 0.5, 2.0])
+            elif kind == 1:
+                blocks[a], blocks[b] = blocks[b].copy(), blocks[a].copy()
+            else:
+                blocks[a] += 1e-3 * rng.standard_normal(blocks[a].shape)
+            path.write_text(format_pgrid(ProjGrid(blocks)), encoding="utf-8")
+            for flags in ([], ["--target", "4"], ["--target", "5"]):
+                code, out, _ = run(capsys, "complete-grid", path, *flags)
+                assert code in (0, 1)
+                if code == 0:
+                    assert check_grid(parse_pgrid(out), 1e-8).magic
+                    completed += 1
+        # the mutations leave some grids submagic, so the check is exercised
+        assert completed > 0
 
 
 class TestCriteria:

@@ -2,6 +2,7 @@
 and the exact matrix-picture identities."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from hadperm.pperm import (
     parse_pperm,
     verify_subantipode,
 )
+from hadperm.prelatin import read_pls, semigroup_of
 
 
 def pp(*image):
@@ -78,13 +80,10 @@ class TestBasics:
     def test_accessors(self):
         sigma = pp(2, 0, 1)
         assert sigma(1) == 2 and sigma(2) is None and sigma(3) == 1
-        assert sigma.domain() == frozenset({1, 3})
-        assert sigma.image_set() == frozenset({1, 2})
         assert sigma.defect == 1
         assert not sigma.is_total
         assert PartialPermutation.identity(3).is_total
         assert PartialPermutation.empty(2).defect == 2
-        assert PartialPermutation.from_pairs(3, {1: 2, 3: 1}) == sigma
 
     def test_matrix_picture(self):
         u = pp(2, 0).matrix()
@@ -153,8 +152,8 @@ class TestInvert:
     def test_involution_and_partial_identity(self, sigma):
         assert invert(invert(sigma)) == sigma
         on_range = compose(sigma, invert(sigma))
-        expected = PartialPermutation.from_pairs(
-            sigma.size, {i: i for i in sigma.image_set()}
+        expected = PartialPermutation(
+            [i if i in sigma.image else 0 for i in range(1, sigma.size + 1)]
         )
         assert on_range == expected
 
@@ -309,6 +308,34 @@ class TestSemigroup:
     def test_size_mismatch(self):
         with pytest.raises(SizeMismatch):
             generate_semigroup([pp(1), pp(1, 2)])
+
+
+class TestSemigroupSemantics:
+    """Membership scans the elements, equality compares element sets, and
+    is_group builds its own set."""
+
+    def test_membership(self):
+        sg = generate_semigroup([pp(2, 0), pp(0, 1)])
+        member = pp(1, 0)
+        assert member in sg
+        assert PartialPermutation(list(member.image)) in sg
+        assert member.image not in sg
+        assert pp(1, 2) not in sg
+
+    def test_reversed_generators_give_an_equal_semigroup(self):
+        gens = [pp(2, 3, 1), pp(2, 1, 0), pp(0, 1, 3)]
+        forward = generate_semigroup(gens)
+        backward = generate_semigroup(reversed(gens))
+        assert forward.elements != backward.elements
+        assert forward == backward
+        assert forward != generate_semigroup(gens[:1])
+
+    def test_is_group(self):
+        cycle, swap = pp(2, 3, 1), pp(2, 1, 3)
+        symmetric = generate_semigroup([cycle, swap])
+        assert len(symmetric) == 6 and symmetric.is_group()
+        square = read_pls(Path(__file__).resolve().parent.parent / "data" / "pls4x6.pls")
+        assert not semigroup_of(square).is_group()
 
 
 def random_generators(m, rng):

@@ -478,13 +478,13 @@ class TestPreLatinFromRankOne:
             reps = {}
             for i in range(grid.size):
                 for j in range(grid.size):
-                    label = square.entry(i + 1, j + 1)
+                    label = square.entries[i][j]
                     if label not in reps:
                         w, v = np.linalg.eigh(grid.blocks[i, j])
                         reps[label] = v[:, -1]
             for i in range(grid.size):
                 for j in range(grid.size):
-                    rebuilt = proj(reps[square.entry(i + 1, j + 1)])
+                    rebuilt = proj(reps[square.entries[i][j]])
                     assert np.abs(rebuilt - grid.blocks[i, j]).max() <= 1e-9
 
     def test_semigroup_matches_classical_points(self):
@@ -633,6 +633,20 @@ class TestClassicalPoints:
         blocks[1, 1] = 0.5 * np.eye(2)
         with pytest.raises(DegenerateSplit):
             classical_points(ProjGrid(blocks))
+
+    @pytest.mark.parametrize(
+        "blocks, line",
+        [([[[[1]], [[1]]], [[[0]], [[0]]]], "row"), ([[[[1]], [[0]]], [[[1]], [[0]]]], "column")],
+    )
+    def test_vector_fixed_twice_in_a_line_is_not_submagic(self, blocks, line):
+        # one joint eigenvector fixed by both blocks of row 1 (or of column
+        # 1 in the transpose) is no partial permutation's point
+        grid = ProjGrid(blocks)
+        message = f"{line} 1 fixes eigenvector 1 under several blocks"
+        with pytest.raises(NotSubmagic, match=message):
+            classical_points(grid)
+        with pytest.raises(NotSubmagic, match=message):
+            complete_commuting(grid, 3)
 
     def test_integer_eigenvalues_other_than_0_1_degenerate(self):
         # eigenvalues 2 and -1 are integers but not 0/1: neither grid has
