@@ -1,9 +1,10 @@
 """End-to-end acceptance checks, runnable via ``hadperm verify`` and mirrored
 one-to-one by the pytest acceptance module.
 
-Each criterion returns a :class:`CriterionResult` with a pass flag and a
-human-readable detail line; nothing is cached between criteria, and all
-randomness is derived from the caller's seed.
+Each criterion returns a pass flag and a human-readable detail line, and
+:func:`run_criterion` wraps them in a :class:`CriterionResult` with the
+number and name that ``CRITERIA`` gives the criterion; nothing is cached
+between criteria, and all randomness is derived from the caller's seed.
 """
 
 from __future__ import annotations
@@ -28,10 +29,6 @@ class CriterionResult:
     name: str
     passed: bool
     detail: str
-
-
-def _result(number: int, name: str, passed: bool, detail: str) -> CriterionResult:
-    return CriterionResult(number=number, name=name, passed=bool(passed), detail=detail)
 
 
 # --------------------------------------------------------------------------
@@ -97,7 +94,7 @@ def pq_counterexample_grid() -> submagic.ProjGrid:
 # --------------------------------------------------------------------------
 # criteria
 
-def criterion_counting(seed: int = 0) -> CriterionResult:
+def criterion_counting(seed: int = 0) -> tuple[bool, str]:
     """count_all returns 1, 2, 7, 34, 209, 1546, 13327 for N = 0..6 and
     matches full enumeration for N <= 5."""
     expected = {0: 1, 1: 2, 2: 7, 3: 34, 4: 209, 5: 1546, 6: 13327}
@@ -109,10 +106,10 @@ def criterion_counting(seed: int = 0) -> CriterionResult:
         f"counts {[pperm.count_all(n) for n in range(7)]}, "
         f"enumeration matches for N<=5: {enum_ok}"
     )
-    return _result(1, "counting", counts_ok and enum_ok, detail)
+    return counts_ok and enum_ok, detail
 
 
-def criterion_asymptotics(seed: int = 0) -> CriterionResult:
+def criterion_asymptotics(seed: int = 0) -> tuple[bool, str]:
     """The count/estimate ratio lies in [0.95, 1.05] at N = 100 and |ratio-1|
     decreases over N in {25, 50, 100}, in under a second.
 
@@ -131,10 +128,10 @@ def criterion_asymptotics(seed: int = 0) -> CriterionResult:
         f"bracket [0.95,1.05] at N=100: {in_bracket}, monotone: {decreasing}, "
         f"under 1 s: {fast}"
     )
-    return _result(2, "asymptotics", in_bracket and decreasing and fast, detail)
+    return in_bracket and decreasing and fast, detail
 
 
-def criterion_fourier_pipeline(seed: int = 0) -> CriterionResult:
+def criterion_fourier_pipeline(seed: int = 0) -> tuple[bool, str]:
     """For N = 2..6 the Fourier grid is submagic, magic and commuting within
     1e-10; its pre-Latin square carries the cyclic structure (first-seen
     labels give L[i][j] = ((j-i) mod N) + 1, an alphabet relabeling of
@@ -144,37 +141,30 @@ def criterion_fourier_pipeline(seed: int = 0) -> CriterionResult:
         grid = submagic.grid_from_hadamard(torus.fourier([n]), tol=tol)
         report = submagic.check_grid(grid, tol)
         if not (report.submagic and report.magic and report.commuting):
-            return _result(
-                3, "fourier pipeline", False,
-                f"N={n}: grid flags {report.worst_violations}",
-            )
+            return False, f"N={n}: grid flags {report.worst_violations}"
         square = submagic.pre_latin_from_rank_one(grid, n, tol=tol)
         derived = tuple(
             tuple(((j - i) % n) + 1 for j in range(n)) for i in range(n)
         )
         if square.entries != derived:
-            return _result(
-                3, "fourier pipeline", False,
-                f"N={n}: extracted square {square.entries} != derived {derived}",
+            return False, (
+                f"N={n}: extracted square {square.entries} != derived {derived}"
             )
         stated = tuple(
             tuple(((i - j) % n) + 1 for j in range(n)) for i in range(n)
         )
         if not _relabel_equivalent(square.entries, stated, n):
-            return _result(
-                3, "fourier pipeline", False,
-                f"N={n}: extracted square is not a relabeling of the cyclic form",
+            return False, (
+                f"N={n}: extracted square is not a relabeling of the cyclic form"
             )
         group = prelatin.semigroup_of(square)
         if not (len(group) == n and group.is_group()):
-            return _result(
-                3, "fourier pipeline", False,
-                f"N={n}: semigroup order {len(group)}, group={group.is_group()}",
+            return False, (
+                f"N={n}: semigroup order {len(group)}, group={group.is_group()}"
             )
-    return _result(
-        3, "fourier pipeline", True,
+    return True, (
         "N=2..6: grids magic+commuting at 1e-10, cyclic squares "
-        "(relabel-equivalent to the stated form), semigroups cyclic of order N",
+        "(relabel-equivalent to the stated form), semigroups cyclic of order N"
     )
 
 
@@ -189,7 +179,7 @@ def _relabel_equivalent(a, b, alphabet: int) -> bool:
     return True
 
 
-def criterion_deleted_row_completion(seed: int = 0) -> CriterionResult:
+def criterion_deleted_row_completion(seed: int = 0) -> tuple[bool, str]:
     """For N = 3..8, dropping the last Fourier row and completing recovers a
     Hadamard matrix (H H* = N within 1e-8) whose appended row is a single unit
     phase times the deleted row (entrywise phase deviation < 1e-8)."""
@@ -199,27 +189,22 @@ def criterion_deleted_row_completion(seed: int = 0) -> CriterionResult:
         completed = completion.complete_row(truncated, tol=1e-8).to_complex()
         gram_defect = float(np.abs(completed @ completed.conj().T - n * np.eye(n)).max())
         if gram_defect > 1e-8:
-            return _result(
-                4, "deleted-row completion", False,
-                f"N={n}: ||HH* - N|| = {gram_defect:.3e}",
-            )
+            return False, f"N={n}: ||HH* - N|| = {gram_defect:.3e}"
         ratio = completed[-1] / full[-1]
         phase_dev = float(np.abs(np.angle(ratio / ratio[0])).max())
         unit_dev = float(np.abs(np.abs(ratio) - 1.0).max())
         if phase_dev > 1e-8 or unit_dev > 1e-8:
-            return _result(
-                4, "deleted-row completion", False,
+            return False, (
                 f"N={n}: appended row is not a unit multiple of the deleted row "
-                f"(phase dev {phase_dev:.3e}, modulus dev {unit_dev:.3e})",
+                f"(phase dev {phase_dev:.3e}, modulus dev {unit_dev:.3e})"
             )
-    return _result(
-        4, "deleted-row completion", True,
+    return True, (
         "N=3..8: completions Hadamard within 1e-8, appended row a unit phase "
-        "times the deleted row",
+        "times the deleted row"
     )
 
 
-def criterion_concordance(seed: int = 0) -> CriterionResult:
+def criterion_concordance(seed: int = 0) -> tuple[bool, str]:
     """On 100 completable and 100 perturbed instances per N in {3..6}, the
     modulus, Gram, weighted and border-completion tests agree: positives all
     accepted and perturbed negatives all rejected at tol 1e-8."""
@@ -234,19 +219,17 @@ def criterion_concordance(seed: int = 0) -> CriterionResult:
                 votes = completion.criteria(instance, tol).votes
                 checked += 1
                 if any(v != expected for v in votes.values()):
-                    return _result(
-                        5, "criteria concordance", False,
+                    return False, (
                         f"N={n} trial {trial} expected {expected}, votes {votes} "
-                        f"(evidence on the open equivalence question)",
+                        f"(evidence on the open equivalence question)"
                     )
-    return _result(
-        5, "criteria concordance", True,
+    return True, (
         f"{checked} instances: modulus/gram/weighted/border tests unanimous, "
-        "positives accepted, perturbed negatives rejected",
+        "positives accepted, perturbed negatives rejected"
     )
 
 
-def criterion_two_by_two(seed: int = 0) -> CriterionResult:
+def criterion_two_by_two(seed: int = 0) -> tuple[bool, str]:
     """200 random 2x2 grids per dimension d in {2,4,8} complete to 4x4 magic
     grids within 1e-9, extending the input bit-exactly; the p = q = Proj(e_1)
     instance fails 3x3 completion and the trace bound with lambda_min = 0."""
@@ -257,49 +240,42 @@ def criterion_two_by_two(seed: int = 0) -> CriterionResult:
             full = submagic.complete_2x2_to_4x4(grid, tol=tol)
             report = submagic.check_grid(full, tol)
             if not report.magic:
-                return _result(
-                    6, "2x2 to 4x4", False,
+                return False, (
                     f"d={d} seed-offset {k}: completion not magic, "
-                    f"{report.worst_violations}",
+                    f"{report.worst_violations}"
                 )
             if not np.array_equal(full.blocks[:2, :2], grid.blocks):
-                return _result(
-                    6, "2x2 to 4x4", False,
-                    f"d={d} seed-offset {k}: completion does not extend bit-exactly",
+                return False, (
+                    f"d={d} seed-offset {k}: completion does not extend bit-exactly"
                 )
     bad = pq_counterexample_grid()
     try:
         submagic.complete_last(bad, tol=tol)
-        return _result(6, "2x2 to 4x4", False, "p=q instance unexpectedly completed to 3x3")
+        return False, "p=q instance unexpectedly completed to 3x3"
     except NotCompletable:
         pass
     bound = submagic.sum_bound_check(bad, 3, tol=tol)
     if bound.passes or abs(bound.lambda_min) > 1e-12:
-        return _result(
-            6, "2x2 to 4x4", False,
+        return False, (
             f"p=q instance: trace bound passes={bound.passes}, "
-            f"lambda_min={bound.lambda_min:.3e}",
+            f"lambda_min={bound.lambda_min:.3e}"
         )
-    return _result(
-        6, "2x2 to 4x4", True,
+    return True, (
         "600 random grids completed magic at 1e-9 with bit-exact corners; "
-        f"p=q instance rejected (lambda_min={bound.lambda_min:.1e})",
+        f"p=q instance rejected (lambda_min={bound.lambda_min:.1e})"
     )
 
 
-def criterion_subantipode(seed: int = 0) -> CriterionResult:
+def criterion_subantipode(seed: int = 0) -> tuple[bool, str]:
     """The transpose-map identity holds exactly for all partial permutations
     of sizes 1 through 4."""
     for m in (1, 2, 3, 4):
         if not pperm.verify_subantipode(m):
-            return _result(7, "subantipode", False, f"identity fails at M={m}")
-    return _result(
-        7, "subantipode", True,
-        "u^T u u^T = u^T exactly over all 2 + 7 + 34 + 209 elements",
-    )
+            return False, f"identity fails at M={m}"
+    return True, "u^T u u^T = u^T exactly over all 2 + 7 + 34 + 209 elements"
 
 
-def criterion_tensor_semigroups(seed: int = 0) -> CriterionResult:
+def criterion_tensor_semigroups(seed: int = 0) -> tuple[bool, str]:
     """The semigroup of a tensor-product Fourier grid has order equal to the
     product of the factor orders, for all factors up to 4."""
     factor_orders = {}
@@ -308,7 +284,7 @@ def criterion_tensor_semigroups(seed: int = 0) -> CriterionResult:
         points = submagic.classical_points(grid, seed=seed)
         factor_orders[n] = len(pperm.generate_semigroup(list(points)))
     if any(factor_orders[n] != n for n in factor_orders):
-        return _result(8, "tensor semigroups", False, f"factor orders {factor_orders}")
+        return False, f"factor orders {factor_orders}"
     for m in (2, 3, 4):
         for n in (2, 3, 4):
             h = torus.tensor(torus.fourier([m]), torus.fourier([n]))
@@ -316,18 +292,16 @@ def criterion_tensor_semigroups(seed: int = 0) -> CriterionResult:
             points = submagic.classical_points(grid, seed=seed)
             order = len(pperm.generate_semigroup(list(points)))
             if order != m * n:
-                return _result(
-                    8, "tensor semigroups", False,
-                    f"F_{m} (x) F_{n}: semigroup order {order}, expected {m * n}",
+                return False, (
+                    f"F_{m} (x) F_{n}: semigroup order {order}, expected {m * n}"
                 )
-    return _result(
-        8, "tensor semigroups", True,
+    return True, (
         "F_m (x) F_n semigroup orders equal m*n for all m, n in {2,3,4} "
-        "(F_2 (x) F_2 gives 4 = 2*2)",
+        "(F_2 (x) F_2 gives 4 = 2*2)"
     )
 
 
-def criterion_two_row_family(seed: int = 0) -> CriterionResult:
+def criterion_two_row_family(seed: int = 0) -> tuple[bool, str]:
     """The exact two-row instance with second row (1, i, -1, -i) gives a
     commuting grid with square [[1,2],[3,1]] and a semigroup of order 6; a
     random balanced second row with nonzero square-sum gives a non-commuting
@@ -335,33 +309,25 @@ def criterion_two_row_family(seed: int = 0) -> CriterionResult:
     grid = submagic.grid_from_hadamard(m2_family_matrix())
     report = submagic.check_grid(grid)
     if not report.commuting:
-        return _result(9, "two-row family", False, "exact family instance not commuting")
+        return False, "exact family instance not commuting"
     square = submagic.pre_latin_from_rank_one(grid, 4)
     if square.entries != ((1, 2), (3, 1)):
-        return _result(
-            9, "two-row family", False, f"extracted square {square.entries}"
-        )
+        return False, f"extracted square {square.entries}"
     group = prelatin.semigroup_of(square)
     if len(group) != 6:
-        return _result(
-            9, "two-row family", False, f"semigroup order {len(group)}, expected 6"
-        )
+        return False, f"semigroup order {len(group)}, expected 6"
     rng = np.random.default_rng(seed)
     violator = two_row_family(_random_balanced_row(2, rng))
     bad_report = submagic.check_grid(submagic.grid_from_hadamard(violator))
     if bad_report.commuting:
-        return _result(
-            9, "two-row family", False,
-            "random row without the square-sum condition still commutes",
-        )
-    return _result(
-        9, "two-row family", True,
+        return False, "random row without the square-sum condition still commutes"
+    return True, (
         f"square ((1,2),(3,1)), semigroup order 6; violating row has "
-        f"commutator {bad_report.worst_violations['commutator']:.3e}",
+        f"commutator {bad_report.worst_violations['commutator']:.3e}"
     )
 
 
-def criterion_embedding_round_trip(seed: int = 0) -> CriterionResult:
+def criterion_embedding_round_trip(seed: int = 0) -> tuple[bool, str]:
     """Completing the two-row family grid to 4 x 4 yields a commuting magic
     grid whose classical points are exactly the total-permutation embeddings
     of the input's classical points."""
@@ -370,45 +336,42 @@ def criterion_embedding_round_trip(seed: int = 0) -> CriterionResult:
     full = submagic.complete_commuting(grid, 4, seed=seed)
     report = submagic.check_grid(full)
     if not (report.magic and report.commuting):
-        return _result(
-            10, "embedding round-trip", False,
-            f"completion flags {report.worst_violations}",
-        )
+        return False, f"completion flags {report.worst_violations}"
     expected = Counter()
     for sigma, mult in points.items():
         expected[pperm.embed_total(sigma, 4)] += mult
     actual = submagic.classical_points(full, seed=seed)
     if actual != expected:
-        return _result(
-            10, "embedding round-trip", False,
-            f"points {sorted(map(str, actual))} != embedded {sorted(map(str, expected))}",
+        return False, (
+            f"points {sorted(map(str, actual))} != embedded {sorted(map(str, expected))}"
         )
-    return _result(
-        10, "embedding round-trip", True,
+    return True, (
         "4x4 completion commuting+magic; classical points are exactly the "
-        "embedded input points",
+        "embedded input points"
     )
 
 
-CRITERIA: list[Callable[[int], CriterionResult]] = [
-    criterion_counting,
-    criterion_asymptotics,
-    criterion_fourier_pipeline,
-    criterion_deleted_row_completion,
-    criterion_concordance,
-    criterion_two_by_two,
-    criterion_subantipode,
-    criterion_tensor_semigroups,
-    criterion_two_row_family,
-    criterion_embedding_round_trip,
+CRITERIA: list[tuple[str, Callable[[int], tuple[bool, str]]]] = [
+    ("counting", criterion_counting),
+    ("asymptotics", criterion_asymptotics),
+    ("fourier pipeline", criterion_fourier_pipeline),
+    ("deleted-row completion", criterion_deleted_row_completion),
+    ("criteria concordance", criterion_concordance),
+    ("2x2 to 4x4", criterion_two_by_two),
+    ("subantipode", criterion_subantipode),
+    ("tensor semigroups", criterion_tensor_semigroups),
+    ("two-row family", criterion_two_row_family),
+    ("embedding round-trip", criterion_embedding_round_trip),
 ]
 
 
 def run_criterion(number: int, seed: int = 0) -> CriterionResult:
     if not 1 <= number <= len(CRITERIA):
         raise ValueError(f"criterion number {number} out of range")
-    return CRITERIA[number - 1](seed)
+    name, fn = CRITERIA[number - 1]
+    passed, detail = fn(seed)
+    return CriterionResult(number, name, bool(passed), detail)
 
 
 def run_all(seed: int = 0) -> list[CriterionResult]:
-    return [fn(seed) for fn in CRITERIA]
+    return [run_criterion(number, seed) for number in range(1, len(CRITERIA) + 1)]

@@ -14,6 +14,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Sequence
 
+from ._text import read_document
 from .errors import DuplicateInColumn, DuplicateInRow, FormatError, OutOfAlphabet
 from .pperm import PartialPermutation, Semigroup, generate_semigroup
 
@@ -116,30 +117,11 @@ def semigroup_of(square: PreLatinSquare) -> Semigroup:
 #   <M rows of M integers>
 
 def parse_pls(text: str) -> PreLatinSquare:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "pls v1":
-        raise FormatError("expected 'pls v1' header")
-    if len(lines) < 2:
-        raise FormatError("missing dimension line")
-    dims = lines[1].split()
-    if len(dims) != 2:
-        raise FormatError(f"expected 'M N', got {lines[1]!r}")
+    m, alphabet, rows = read_document(text, "pls", lambda m, n: (m, m))
     try:
-        m, alphabet = int(dims[0]), int(dims[1])
+        entries = [[int(tok) for tok in row] for row in rows]
     except ValueError as exc:
-        raise FormatError(f"bad dimensions {lines[1]!r}") from exc
-    body = lines[2:]
-    if len(body) != m:
-        raise FormatError(f"expected {m} rows, found {len(body)}")
-    entries = []
-    for line in body:
-        tokens = line.split()
-        if len(tokens) != m:
-            raise FormatError(f"expected {m} entries per row, got {len(tokens)}")
-        try:
-            entries.append([int(tok) for tok in tokens])
-        except ValueError as exc:
-            raise FormatError(f"bad entry in {line!r}") from exc
+        raise FormatError(f"bad entry: {exc}") from exc
     return PreLatinSquare(entries, alphabet)
 
 

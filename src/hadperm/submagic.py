@@ -18,7 +18,6 @@ everywhere and is overridable.
 
 from __future__ import annotations
 
-import cmath
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -33,6 +32,7 @@ from ._linalg import (
     spectral_norm,
     spectral_norms,
 )
+from ._text import format_complex, parse_complex, read_document
 from .errors import (
     DegenerateSplit,
     FormatError,
@@ -525,16 +525,12 @@ def complete_commuting(
                 f"more than N - M = {slack}",
                 witness=sigma,
             )
-    extended = {sigma: embed_total(sigma, n) for sigma in distinct}
-    d = grid.dim
-    blocks = np.zeros((n, n, d, d), dtype=complex)
+    rows = {sigma: np.array(embed_total(sigma, n).image) - 1 for sigma in distinct}
+    cols = np.arange(n)
+    blocks = np.zeros((n, n, grid.dim, grid.dim), dtype=complex)
     for c, sigma in enumerate(sigmas):
         vec = vectors[:, c]
-        proj = np.outer(vec, vec.conj())
-        total = extended[sigma]
-        for j in range(1, n + 1):
-            i = total(j)
-            blocks[i - 1, j - 1] += proj
+        blocks[rows[sigma], cols] += np.outer(vec, vec.conj())
     blocks[:m, :m] = grid.blocks
     return _trusted(blocks)
 
@@ -637,64 +633,22 @@ def random_grid(m: int, d: int, seed: int) -> ProjGrid:
 #    blocks separated by blank lines>
 
 def parse_pgrid(text: str) -> ProjGrid:
-    lines = [ln.strip() for ln in text.splitlines()]
-    payload = [ln for ln in lines if ln]
-    if not payload or payload[0] != "pgrid v1":
-        raise FormatError("expected 'pgrid v1' header")
-    if len(payload) < 2:
-        raise FormatError("missing dimension line")
-    dims = payload[1].split()
-    if len(dims) != 2:
-        raise FormatError(f"expected 'M d', got {payload[1]!r}")
-    try:
-        m, d = int(dims[0]), int(dims[1])
-    except ValueError as exc:
-        raise FormatError(f"bad dimensions {payload[1]!r}") from exc
-    if m < 1 or d < 1:
-        raise FormatError("dimensions must be positive")
-    body = payload[2:]
-    if len(body) != m * m * d:
-        raise FormatError(
-            f"expected {m * m * d} block rows, found {len(body)}"
-        )
-    blocks = np.empty((m, m, d, d), dtype=complex)
-    pos = 0
-    for i in range(m):
-        for j in range(m):
-            for row in range(d):
-                tokens = body[pos].split()
-                pos += 1
-                if len(tokens) != d:
-                    raise FormatError(
-                        f"expected {d} entries per block row, got {len(tokens)}"
-                    )
-                blocks[i, j, row] = [_parse_pair(tok) for tok in tokens]
-    return _trusted(blocks)
-
-
-def _parse_pair(token: str) -> complex:
-    if not (token.startswith("(") and token.endswith(")")) or "," not in token:
-        raise FormatError(f"expected '(a,b)' token, got {token!r}")
-    re_part, _, im_part = token[1:-1].partition(",")
-    try:
-        value = complex(float(re_part), float(im_part))
-    except ValueError as exc:
-        raise FormatError(f"bad complex token {token!r}") from exc
-    if not cmath.isfinite(value):
+    m, d, rows = read_document(text, "pgrid", lambda m, d: (m * m * d, d))
+    tokens = [tok for row in rows for tok in row]
+    values = np.array([parse_complex(tok) for tok in tokens], dtype=complex)
+    finite = np.isfinite(values)
+    if not finite.all():
+        token = tokens[int(np.argmin(finite))]
         raise FormatError(f"non-finite complex token {token!r}")
-    return value
+    return _trusted(values.reshape(m, m, d, d))
 
 
 def format_pgrid(grid: ProjGrid) -> str:
-    chunks = [f"pgrid v1\n{grid.size} {grid.dim}"]
-    for i in range(grid.size):
-        for j in range(grid.size):
-            block = grid.blocks[i, j]
-            rows = [
-                " ".join(f"({float(z.real)!r},{float(z.imag)!r})" for z in row)
-                for row in block
-            ]
-            chunks.append("\n".join(rows))
+    blocks = grid.blocks.reshape(-1, grid.dim, grid.dim).tolist()
+    chunks = [f"pgrid v1\n{grid.size} {grid.dim}"] + [
+        "\n".join(" ".join(map(format_complex, row)) for row in block)
+        for block in blocks
+    ]
     return "\n\n".join(chunks) + "\n"
 
 

@@ -28,6 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from ._linalg import DEFAULT_TOL
+from ._text import format_complex, parse_complex, read_document
 from .errors import FormatError, IllConditioned
 
 __all__ = [
@@ -55,7 +56,6 @@ _QUARTER_VALUES = (1 + 0j, 1j, -1 + 0j, -1j)
 _TOKEN_PHASES = {"1": (0, 1), "-1": (1, 2), "i": (1, 4), "-i": (3, 4)}
 _PHASE_TOKENS = {phase: token for token, phase in _TOKEN_PHASES.items()}
 _FRACTION_RE = re.compile(r"[+-]?\d+/\d+\Z")
-_PAIR_RE = re.compile(r"\((?P<re>[^,]+),(?P<im>[^,]+)\)\Z")
 
 
 def _phase_value(p: int, q: int) -> complex:
@@ -100,13 +100,13 @@ class TorusMatrix:
         return _build(num, den)
 
     @classmethod
-    def from_complex(cls, array, tol: float = CONSTRUCTION_TOL) -> "TorusMatrix":
+    def from_complex(cls, array) -> "TorusMatrix":
         arr = np.array(array, dtype=complex)
         if arr.ndim != 2:
             raise ValueError("expected a 2-D array")
         if arr.size == 0:
             raise ValueError("matrix must be nonempty")
-        _check_unit(arr, tol)
+        _check_unit(arr)
         zeros = np.zeros(arr.shape, dtype=object)
         return _trusted(arr, zeros, zeros)
 
@@ -183,19 +183,19 @@ def _build(
     return _trusted(values, num, den)
 
 
-def _check_unit(arr: np.ndarray, tol: float) -> None:
+def _check_unit(arr: np.ndarray) -> None:
     # Written so that NaN fails: every comparison with NaN is False.
-    bad = ~(np.abs(np.abs(arr) - 1.0) <= tol)
+    bad = ~(np.abs(np.abs(arr) - 1.0) <= CONSTRUCTION_TOL)
     if bad.any():
         value = complex(arr[np.unravel_index(int(np.argmax(bad)), bad.shape)])
-        raise ValueError(f"not unit modulus within {tol}: {value!r}")
+        raise ValueError(f"not unit modulus within {CONSTRUCTION_TOL}: {value!r}")
 
 
 def _stack(h: TorusMatrix, rows) -> TorusMatrix:
     """``h`` with the float ``rows`` appended, checked for unit modulus as
     :meth:`TorusMatrix.from_complex` checks them (ValueError otherwise)."""
     rows = np.array(rows, dtype=complex)
-    _check_unit(rows, CONSTRUCTION_TOL)
+    _check_unit(rows)
     zeros = np.zeros(rows.shape, dtype=object)
     return _trusted(
         np.vstack([h._array, rows]),
@@ -380,62 +380,35 @@ def _minor_batch(a: np.ndarray, dropped: np.ndarray) -> np.ndarray:
 # the canonical token of every entry bit-exactly.
 
 def parse_phm(text: str) -> TorusMatrix:
-    lines = [ln.strip() for ln in text.splitlines()]
-    payload = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not payload or payload[0] != "phm v1":
-        raise FormatError("expected 'phm v1' header")
-    if len(payload) < 2:
-        raise FormatError("missing dimension line")
-    dims = payload[1].split()
-    if len(dims) != 2:
-        raise FormatError(f"expected 'M N', got {payload[1]!r}")
+    text = "\n".join(ln for ln in text.splitlines() if not ln.lstrip().startswith("#"))
+    m, n, rows = read_document(text, "phm", lambda m, n: (m, n))
+    nums, dens, values = zip(*(_parse_token(tok) for row in rows for tok in row))
+    values = np.array(values, dtype=complex).reshape(m, n)
     try:
-        m, n = int(dims[0]), int(dims[1])
+        _check_unit(values)
     except ValueError as exc:
-        raise FormatError(f"bad dimensions {payload[1]!r}") from exc
-    if m < 1 or n < 1:
-        raise FormatError("dimensions must be positive")
-    body = payload[2:]
-    if len(body) != m:
-        raise FormatError(f"expected {m} matrix rows, found {len(body)}")
-    nums, dens, values = [], [], []
-    for line in body:
-        tokens = line.split()
-        if len(tokens) != n:
-            raise FormatError(f"expected {n} tokens per row, got {len(tokens)}")
-        for tok in tokens:
-            p, q, z = _parse_token(tok)
-            nums.append(p)
-            dens.append(q)
-            values.append(z)
+        raise FormatError(str(exc)) from exc
     return _build(
         np.array(nums, dtype=object).reshape(m, n),
         np.array(dens, dtype=object).reshape(m, n),
-        np.array(values, dtype=complex).reshape(m, n),
+        values,
     )
 
 
 def _parse_token(token: str) -> tuple[int, int, complex]:
-    """(p, q, 0) for an exact token, (0, 0, value) for a float one."""
+    """(p, q, 1) for an exact token, (0, 0, value) for a float one; the 1
+    passes the modulus check and ``_build`` replaces it."""
     phase = _TOKEN_PHASES.get(token)
     if phase is not None:
-        return phase[0], phase[1], 0j
+        return phase[0], phase[1], 1
+    if token.startswith("("):
+        return 0, 0, parse_complex(token)
     if _FRACTION_RE.fullmatch(token):
         num, den = token.split("/")
         q = int(den)
         if q < 1:
             raise FormatError(f"denominator must be positive in {token!r}")
-        return int(num), q, 0j
-    pair = _PAIR_RE.fullmatch(token)
-    if pair:
-        try:
-            value = complex(float(pair.group("re")), float(pair.group("im")))
-        except ValueError as exc:
-            raise FormatError(f"bad complex token {token!r}") from exc
-        # Written so that NaN fails: every comparison with NaN is False.
-        if not abs(abs(value) - 1.0) <= CONSTRUCTION_TOL:
-            raise FormatError(f"not unit modulus within {CONSTRUCTION_TOL}: {value!r}")
-        return 0, 0, value
+        return int(num), q, 1
     raise FormatError(f"unrecognized scalar token {token!r}")
 
 
@@ -444,9 +417,7 @@ def format_phm(h: TorusMatrix) -> str:
     for nums, dens, values in zip(h._num.tolist(), h._den.tolist(), h._array.tolist()):
         lines.append(
             " ".join(
-                (_PHASE_TOKENS.get((p, q)) or f"{p}/{q}")
-                if q
-                else f"({z.real!r},{z.imag!r})"
+                (_PHASE_TOKENS.get((p, q)) or f"{p}/{q}") if q else format_complex(z)
                 for p, q, z in zip(nums, dens, values)
             )
         )

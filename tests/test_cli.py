@@ -293,6 +293,15 @@ class TestSemigroup:
         assert code == 0
         assert out.splitlines()[0] == "semigroup 2 6"
 
+    @pytest.mark.parametrize("text", ["pls v1\n0 3\n", "pls v1\n1 0\n1\n"])
+    def test_sizes_below_one_are_usage_errors(self, capsys, tmp_path, text):
+        path = tmp_path / "square.pls"
+        path.write_text(text)
+        code, out, err = run(capsys, "semigroup", path)
+        assert code == 2
+        assert out == ""
+        assert "sizes must be positive" in err
+
     @pytest.mark.parametrize(
         "argv", [("semigroup", DATA / "pls4x6.pls"), ("grid", DATA / "m2_family.phm")]
     )

@@ -296,11 +296,12 @@ class TestIsPartialHadamard:
         assert report.worst_pair is None
 
     def test_modulus_violation_detected(self):
-        h = TorusMatrix.from_complex([[1.0, 1.5]], tol=1.0)  # loose construction
+        # within the construction slack, beyond the certification tol
+        h = TorusMatrix.from_complex([[1.0, 1.0 + 1e-7]])
         report = is_partial_hadamard(h)
         assert not report.ok
         assert report.worst_entry == (1, 2)
-        assert report.worst_modulus_error == pytest.approx(0.5)
+        assert report.worst_modulus_error == pytest.approx(1e-7)
 
 
 class TestRowQuotient:
