@@ -4,14 +4,14 @@ Subcommands: check, grid, complete-row, complete-grid, criteria, semigroup,
 count, enumerate, fourier, tensor, verify.  Exit codes: 0 success / criterion
 holds, 1 criterion fails or not completable, 2 parse or usage error,
 3 numerical failure.  Reports are plain ``key: value`` lines, or one JSON
-object with ``--json``; identical arguments and seed produce byte-identical
-output.
+object with ``--json``; identical arguments produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import acceptance, completion, pperm, prelatin, submagic, torus
@@ -45,6 +45,7 @@ _USAGE_ERRORS = (
     InvalidSquare,
     TooManyUndefined,
     ValueError,
+    OSError,  # an input path that is missing, a directory or unreadable
 )
 _CRITERION_ERRORS = (NotHadamard, NotCompletable, NotCommuting, NotSubmagic, RankError)
 _NUMERIC_ERRORS = (IllConditioned, DegenerateSplit)
@@ -150,7 +151,7 @@ def _cmd_complete_grid(args) -> int:
     elif grid.size == 2 and target == 4:
         full = submagic.complete_2x2_to_4x4(grid, tol=args.tol)
     else:
-        full = submagic.complete_commuting(grid, target, tol=args.tol, seed=args.seed)
+        full = submagic.complete_commuting(grid, target, tol=args.tol)
     text = submagic.format_pgrid(full)
     _emit(args, {"completed": text}, [text.rstrip("\n")])
     return EXIT_OK
@@ -263,6 +264,17 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if all(r.passed for r in results) else EXIT_FAIL
 
 
+def _tolerance(text: str) -> float:
+    # NaN, a negative or an infinite tol would pass or fail every check alike
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hadperm",
@@ -274,11 +286,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     # Each subcommand takes only the flags it reads; --json is on all of them.
-    def common(p, *, tol=False, seed=False):
+    def common(p, *, tol=False):
         if tol:
-            p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="numerical tolerance")
-        if seed:
-            p.add_argument("--seed", type=int, default=0, help="random seed")
+            p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL,
+                           help="numerical tolerance, a finite number >= 0")
         p.add_argument("--json", action="store_true", help="emit one JSON object")
 
     p = sub.add_parser("check", help="certify a .phm file as partial Hadamard")
@@ -308,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("input")
     p.add_argument("--target", type=int, default=None, help="target grid size")
-    common(p, tol=True, seed=True)
+    common(p, tol=True)
     p.set_defaults(func=_cmd_complete_grid)
 
     p = sub.add_parser(
@@ -347,7 +358,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_tensor)
 
     p = sub.add_parser("verify", help="run the acceptance criteria suite")
-    common(p, seed=True)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the random instances of criteria 5, 6 and 9")
+    common(p)
     p.set_defaults(func=_cmd_verify)
 
     return parser
@@ -365,9 +378,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
     except _USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -33,9 +33,9 @@ import numpy as np
 
 from . import torus
 from ._linalg import DEFAULT_TOL, spectral_norm
-from .errors import IllConditioned, NotCompletable, NotHadamard
+from .errors import IllConditioned, NotCompletable
 from .submagic import _corner, grid_from_hadamard
-from .torus import TorusMatrix, is_partial_hadamard
+from .torus import TorusMatrix
 
 __all__ = [
     "CriteriaReport",
@@ -55,12 +55,11 @@ __all__ = [
 class KernelData:
     """Cofactor kernel vector of an (N-1) x N matrix.
 
-    ``z`` spans the orthogonal complement of the rows; ``minors[j-1]`` is
-    det H^(j) and ``moduli`` its absolute values (equal to |z| entrywise).
+    ``z`` spans the orthogonal complement of the rows; ``moduli[j-1]`` is
+    |det H^(j)|, equal to |z_j|.
     """
 
     z: np.ndarray
-    minors: np.ndarray
     moduli: np.ndarray
 
 
@@ -135,7 +134,7 @@ def _kernel(h: TorusMatrix, minors: np.ndarray, tol: float) -> KernelData:
             f"kernel vector fails row orthogonality: residual {residual:.3e} "
             f"exceeds {allowance:.3e}"
         )
-    return KernelData(z=z, minors=minors, moduli=np.abs(minors))
+    return KernelData(z=z, moduli=np.abs(minors))
 
 
 def kernel_vector(h: TorusMatrix, *, tol: float = DEFAULT_TOL) -> KernelData:
@@ -144,13 +143,7 @@ def kernel_vector(h: TorusMatrix, *, tol: float = DEFAULT_TOL) -> KernelData:
     ``z_j = (-1)^j * conj(det H^(j))``; orthogonality against every row is
     verified internally at a scale of N^(N/2).
     """
-    report = is_partial_hadamard(h, tol)
-    if not report.ok:
-        raise NotHadamard(
-            f"not partial Hadamard at tol {tol}: worst pair {report.worst_pair}, "
-            f"value {report.worst_value:.3e}",
-            report=report,
-        )
+    torus._require_hadamard(h, tol)
     return _kernel(h, _minors(h), tol)
 
 

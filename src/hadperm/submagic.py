@@ -7,10 +7,11 @@ column sums to the identity.  This module builds such grids from partial
 Hadamard matrices (block (i,j) projects onto the entrywise quotient of rows
 i and j), certifies the submagic/magic/commuting properties, reads the
 pre-Latin square and classical points of a commuting grid off one joint
-eigenbasis (which also certifies the commutation), and implements the three
-completion procedures: adding one final row and column, completing a
-commuting grid through total-permutation embeddings of its classical points,
-and the unconditional 2x2 -> 4x4 completion.
+eigenbasis (which also certifies the commutation; its random combination has
+a fixed seed, so every reader gets the same basis of the same grid), and
+implements the three completion procedures: adding one final row and column,
+completing a commuting grid through total-permutation embeddings of its
+classical points, and the unconditional 2x2 -> 4x4 completion.
 
 Spectral (operator) norms are used throughout; ``tol`` defaults to 1e-9
 everywhere and is overridable.
@@ -38,14 +39,13 @@ from .errors import (
     FormatError,
     NotCommuting,
     NotCompletable,
-    NotHadamard,
     NotSubmagic,
     RankError,
     Unsupported,
 )
 from .pperm import PartialPermutation, embed_total
 from .prelatin import PreLatinSquare
-from .torus import TorusMatrix, is_partial_hadamard
+from .torus import TorusMatrix, _require_hadamard
 
 __all__ = [
     "ProjGrid",
@@ -152,14 +152,7 @@ def grid_from_hadamard(h: TorusMatrix, *, tol: float = DEFAULT_TOL) -> ProjGrid:
     Ambient dimension equals the number of columns, and every diagonal block
     projects onto the all-ones vector.
     """
-    report = is_partial_hadamard(h, tol)
-    if not report.ok:
-        raise NotHadamard(
-            f"not partial Hadamard at tol {tol}: worst row pair {report.worst_pair} "
-            f"has |<R_i,R_j>| = {report.worst_value:.3e}, worst modulus error "
-            f"{report.worst_modulus_error:.3e}",
-            report=report,
-        )
+    _require_hadamard(h, tol)
     a = h.to_complex()
     xi = a[:, None, :] / a[None, :, :]
     blocks = xi[..., :, None] * xi.conj()[..., None, :]
@@ -451,16 +444,17 @@ def _classify_columns(
 
 
 def classical_points(
-    grid: ProjGrid, *, tol: float = DEFAULT_TOL, seed: int = 0
+    grid: ProjGrid, *, tol: float = DEFAULT_TOL
 ) -> Counter[PartialPermutation]:
     """Multiset of classical points of a commuting grid.
 
-    Computes a joint eigenbasis of all blocks; each joint eigenvector v
-    yields the partial permutation with sigma(j) = i exactly when block
-    (i, j) fixes v.  Multiplicities sum to the ambient dimension.  The
-    semigroup of the grid is generated by the distinct points.
+    Reads the joint eigenbasis of all blocks that
+    :func:`pre_latin_from_rank_one` reads; each joint eigenvector v yields
+    the partial permutation with sigma(j) = i exactly when block (i, j)
+    fixes v.  Multiplicities sum to the ambient dimension.  The semigroup of
+    the grid is generated by the distinct points.
     """
-    _, sigmas = _joint_eigensystem(grid, tol, seed)
+    _, sigmas = _joint_eigensystem(grid, tol, 0)
     return Counter(sigmas)
 
 
@@ -500,23 +494,21 @@ def _corner(grid: ProjGrid) -> tuple[np.ndarray, float]:
     return corner, spectral_norm(corner @ corner - corner)
 
 
-def complete_commuting(
-    grid: ProjGrid, n: int, *, tol: float = DEFAULT_TOL, seed: int = 0
-) -> ProjGrid:
+def complete_commuting(grid: ProjGrid, n: int, *, tol: float = DEFAULT_TOL) -> ProjGrid:
     """Complete a commuting submagic M x M grid to a commuting magic N x N grid.
 
     Each classical point is extended to a total permutation of {1, ..., N};
     this requires every point to have at most N - M undefined values, and the
     first offender is reported as the :class:`NotCompletable` witness.  Block
-    (i, j) of the completion sums the eigenprojections of the vectors whose
-    extended point maps j to i; the top-left M x M corner is the input grid,
-    bit-exact.
+    (i, j) of the completion sums the eigenprojections of the vectors (of the
+    basis :func:`classical_points` reads) whose extended point maps j to i;
+    the top-left M x M corner is the input grid, bit-exact.
     """
     m = grid.size
     if n < m:
         raise ValueError(f"target size {n} smaller than grid size {m}")
     slack = n - m
-    vectors, sigmas = _joint_eigensystem(grid, tol, seed)
+    vectors, sigmas = _joint_eigensystem(grid, tol, 0)
     distinct = dict.fromkeys(sigmas)
     for sigma in distinct:
         if sigma.defect > slack:

@@ -29,7 +29,7 @@ import numpy as np
 
 from ._linalg import DEFAULT_TOL
 from ._text import format_complex, parse_complex, read_document
-from .errors import FormatError, IllConditioned
+from .errors import FormatError, IllConditioned, NotHadamard
 
 __all__ = [
     "TorusMatrix",
@@ -160,21 +160,22 @@ def _trusted(values: np.ndarray, num: np.ndarray, den: np.ndarray) -> TorusMatri
 def _build(
     num: np.ndarray, den: np.ndarray, values: np.ndarray | None = None
 ) -> TorusMatrix:
-    """The matrix of the phases num/den (object arrays), reduced here.
+    """The matrix of the phases num/den (writable object arrays), whose exact
+    entries are reduced here in place.
 
-    Entries with den 0 are float and keep their value from the writable
-    complex array ``values``; exact entries get theirs from one cos/sin per
-    distinct phase.
+    Entries with den 0 are float, stay 0/0 and keep their value from the
+    writable complex array ``values``; exact entries get theirs from one
+    cos/sin per distinct phase.
     """
-    g = np.gcd(num, den)
-    g[g == 0] = 1  # float entries, 0/0
-    num, den = num // g, den // g
-    num %= np.maximum(den, 1)
     if values is None:
         values = np.empty(den.shape, dtype=complex)
     exact = den != 0
     if exact.any():
         p, q = num[exact], den[exact]
+        g = np.gcd(p, q)
+        p, q = p // g, q // g
+        p %= q
+        num[exact], den[exact] = p, q
         # q*q + p is one integer per reduced phase, as 0 <= p < q
         _, first, inverse = np.unique(q * q + p, return_index=True, return_inverse=True)
         pairs = zip(p[first].tolist(), q[first].tolist())
@@ -283,6 +284,19 @@ def is_partial_hadamard(h: TorusMatrix, tol: float = DEFAULT_TOL) -> HadamardRep
 
     ok = worst_mod <= tol and worst_value <= tol * n
     return HadamardReport(ok, worst_pair, worst_value, worst_entry, worst_mod)
+
+
+def _require_hadamard(h: TorusMatrix, tol: float) -> None:
+    """Raise :class:`NotHadamard`, carrying the report, unless ``h`` is
+    partial Hadamard at ``tol``."""
+    report = is_partial_hadamard(h, tol)
+    if not report.ok:
+        raise NotHadamard(
+            f"not partial Hadamard at tol {tol}: worst row pair {report.worst_pair} "
+            f"has |<R_i,R_j>| = {report.worst_value:.3e}, worst modulus error "
+            f"{report.worst_modulus_error:.3e}",
+            report=report,
+        )
 
 
 def row_quotient(h: TorusMatrix, i: int, j: int) -> TorusMatrix:

@@ -334,7 +334,7 @@ READS = {
     "check": {"--tol"},
     "grid": {"--tol"},
     "complete-row": {"--tol"},
-    "complete-grid": {"--tol", "--seed"},
+    "complete-grid": {"--tol"},
     "criteria": {"--tol"},
     "semigroup": set(),
     "count": set(),
@@ -398,6 +398,19 @@ class TestUsage:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "check", "no-such-file.phm")
         assert code == 2
+
+    def test_directory_input(self, capsys, tmp_path):
+        code, _, err = run(capsys, "check", tmp_path)
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", [c for c in READS if "--tol" in READS[c]])
+    @pytest.mark.parametrize("value", ["nan", "-1", "inf"])
+    def test_tol_must_be_finite_and_nonnegative(self, capsys, command, value):
+        with pytest.raises(SystemExit) as exc:
+            main(command_argv(command, "--tol", value))
+        assert exc.value.code == 2
+        assert "argument --tol: must be a finite number >= 0" in capsys.readouterr().err
 
     def test_bad_format(self, capsys, tmp_path):
         path = tmp_path / "bad.phm"

@@ -79,6 +79,16 @@ class TestKernelVector:
         with pytest.raises(NotHadamard):
             kernel_vector(bad)
 
+    def test_not_hadamard_message_matches_grid(self):
+        # orthogonal rows, moduli off by 1e-7: only the modulus test fails
+        h = TorusMatrix.from_complex((1 + 1e-7) * f3_top2().to_complex())
+        with pytest.raises(NotHadamard) as from_kernel:
+            kernel_vector(h, tol=1e-9)
+        with pytest.raises(NotHadamard) as from_grid:
+            grid_from_hadamard(h, tol=1e-9)
+        assert str(from_kernel.value) == str(from_grid.value)
+        assert "worst modulus error 1.000e-07" in str(from_kernel.value)
+
     def test_requires_shape(self):
         with pytest.raises(ValueError):
             kernel_vector(fourier([3]))
