@@ -14,6 +14,8 @@ import json
 import math
 import sys
 
+from numpy.linalg import LinAlgError
+
 from . import acceptance, completion, pperm, prelatin, submagic, torus
 from ._linalg import DEFAULT_TOL
 from .errors import (
@@ -48,7 +50,8 @@ _USAGE_ERRORS = (
     OSError,  # an input path that is missing, a directory or unreadable
 )
 _CRITERION_ERRORS = (NotHadamard, NotCompletable, NotCommuting, NotSubmagic, RankError)
-_NUMERIC_ERRORS = (IllConditioned, DegenerateSplit)
+# caught first: LinAlgError (an SVD that does not converge) is a ValueError
+_NUMERIC_ERRORS = (IllConditioned, DegenerateSplit, LinAlgError, ArithmeticError)
 
 
 def _emit(args, report: dict, text_lines: list[str]) -> None:

@@ -15,7 +15,16 @@ where G collects squared column inner products over N) and the weighted test
 conditions are mutually equivalent is empirically probed, never assumed:
 :func:`criteria` runs the modulus, Gram and weighted tests together with the
 border test of the grid (is its corner block a projection), and is the one
-place where the four votes are assembled.
+place where the four votes are assembled.  The border test needs no grid:
+its corner, the sum of all blocks less (M-1), comes from the row quotients
+and their reciprocals in two N x N products.
+
+For unit-modulus entries 1/a = conj(a), so in exact arithmetic the border
+corner equals the Gram test's ``Q = G - (N-2)``: the border and Gram votes
+are one predicate computed two ways, and their agreement (acceptance
+criterion 5) is a numerical cross-check, not a check of two independent
+tests.  So the border corner keeps the reciprocals 1/H and never
+substitutes conj(H) for them.
 
 Every public call computes the N minors once, in one batched pass (one SVD
 call and one determinant call per stack of minors, and one stack for every
@@ -34,7 +43,6 @@ import numpy as np
 from . import torus
 from ._linalg import DEFAULT_TOL, spectral_norm
 from .errors import IllConditioned, NotCompletable
-from .submagic import _corner, grid_from_hadamard
 from .torus import TorusMatrix
 
 __all__ = [
@@ -232,18 +240,24 @@ def criteria(h: TorusMatrix, tol: float = DEFAULT_TOL) -> CriteriaReport:
     """Run the modulus, Gram, weighted and border-completion tests on one
     (N-1) x N matrix, computing its minors once.
 
-    The grid is certified at the loose ``max(tol, 0.1)`` so that perturbed
-    (not quite partial Hadamard) inputs still reach the border test, whose
-    vote is whether the grid's corner block is a projection at ``tol``, the
-    condition under which :func:`~hadperm.submagic.complete_last` succeeds;
-    the completed grid itself is not built.  Errors surface in the order
-    minors, Gram, kernel residual, grid certification.
+    The input is certified partial Hadamard at the loose ``max(tol, 0.1)``,
+    the level at which its grid would be built, so that perturbed (not quite
+    partial Hadamard) inputs still reach the border test.  That vote is
+    whether the corner ``sum of all blocks - (M-1)`` of the grid's border
+    completion is a projection at ``tol``, the condition under which
+    :func:`~hadperm.submagic.complete_last` succeeds.  Neither the grid nor
+    its completion is built: the block sum
+    ``sum_ij (R_i/R_j)(R_i/R_j)* / N`` factors into
+    ``(A^T conj(A)) o (B^T conj(B)) / N`` with ``B = 1/A`` entrywise.
+    Errors surface in the order minors, Gram, kernel residual, certification.
     """
     minors = _minors(h)
     profile = _profile(minors, tol)
     gram = gram_criterion(h, tol)
     weighted = _weighted(h, minors, tol)
-    _, defect = _corner(grid_from_hadamard(h, tol=max(tol, 0.1)))
-    return CriteriaReport(
-        profile=profile, gram=gram, weighted=weighted, border=defect <= tol
-    )
+    torus._require_hadamard(h, max(tol, 0.1))
+    a = h.to_complex()
+    b = 1.0 / a
+    corner = (a.T @ a.conj()) * (b.T @ b.conj()) / h.cols - (h.rows - 1) * np.eye(h.cols)
+    return CriteriaReport(profile=profile, gram=gram, weighted=weighted,
+                          border=spectral_norm(corner @ corner - corner) <= tol)

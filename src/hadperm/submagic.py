@@ -321,9 +321,9 @@ def pre_latin_from_rank_one(
 
     Two commuting rank-one projections have images that are either equal or
     orthogonal, so each block fixes exactly one vector of the grid's joint
-    eigenbasis (:func:`_joint_eigensystem` at seed 0): block (i, j) gets the
-    column c with sigma_c(j) = i.  Columns become labels 1, 2, ... in
-    row-major first-seen order, and the alphabet is padded to ``n_target``.
+    eigenbasis (:func:`_joint_eigensystem`): block (i, j) gets the column c
+    with sigma_c(j) = i.  Columns become labels 1, 2, ... in row-major
+    first-seen order, and the alphabet is padded to ``n_target``.
     Raises :class:`RankError` first if some block is not a rank-one
     projection within ``max(1e3 * tol, 1e-12)`` (first offender in row-major
     order), then :class:`NotCommuting` if a commutator exceeds ``tol``.
@@ -340,7 +340,7 @@ def pre_latin_from_rank_one(
             f"block ({a // m + 1},{a % m + 1}) is not a rank-one projection "
             f"(top eigenvalue {w[a, -1]:.6g}, remaining bound {rest[a]:.6g})"
         )
-    _, sigmas = _joint_eigensystem(grid, tol, 0)
+    _, sigmas = _joint_eigensystem(grid, tol)
     column = {(i, j): c for c, s in enumerate(sigmas) for j, i in enumerate(s.image) if i}
     labels: dict[int, int] = {}
     entries = [labels.setdefault(column[key], len(labels) + 1) for key in sorted(column)]
@@ -348,7 +348,7 @@ def pre_latin_from_rank_one(
 
 
 def _joint_eigensystem(
-    grid: ProjGrid, tol: float, seed: int
+    grid: ProjGrid, tol: float
 ) -> tuple[np.ndarray, list[PartialPermutation]]:
     """Joint eigenbasis of all blocks of a commuting grid, which also
     certifies that the blocks commute.
@@ -363,8 +363,9 @@ def _joint_eigensystem(
     SIAM J. Matrix Anal. Appl. 2024); each attempt takes V from one
     eigendecomposition of such a sum.  Residuals and 0/1 eigenvalues are
     verified on every column; a sum that merges two joint eigenspaces fails
-    that test, and the procedure reseeds and retries.  An ``eigh`` that does
-    not converge (seen on sums of huge finite blocks) is a failed attempt too.
+    that test, and the procedure retries, attempt k seeding its weights with
+    ``default_rng(k)``.  An ``eigh`` that does not converge (seen on sums of
+    huge finite blocks) is a failed attempt too.
 
     The residuals also bound the commutators: P_b = V Lambda_b V* + E_b with
     ||E_b|| <= r_b, the Frobenius norm of block b's residual columns, and the
@@ -379,7 +380,7 @@ def _joint_eigensystem(
     cls_tol = min(0.1, max(1e4 * tol, 1e-8))
     last_error: DegenerateSplit | np.linalg.LinAlgError | None = None
     for attempt in range(_RETRY_BUDGET):
-        rng = np.random.default_rng(seed + attempt)
+        rng = np.random.default_rng(attempt)
         weights = rng.standard_normal(m * m)
         try:
             # eigh fails to converge on some sums of huge finite blocks
@@ -454,7 +455,7 @@ def classical_points(
     fixes v.  Multiplicities sum to the ambient dimension.  The semigroup of
     the grid is generated by the distinct points.
     """
-    _, sigmas = _joint_eigensystem(grid, tol, 0)
+    _, sigmas = _joint_eigensystem(grid, tol)
     return Counter(sigmas)
 
 
@@ -470,7 +471,8 @@ def complete_last(grid: ProjGrid, *, tol: float = DEFAULT_TOL) -> ProjGrid:
     not submagic can give a border that is not magic.
     """
     m, d = grid.size, grid.dim
-    corner, defect = _corner(grid)
+    corner = grid.total_sum() - (m - 1) * np.eye(d)
+    defect = spectral_norm(corner @ corner - corner)
     # Written so that NaN fails: a corner that overflowed is not certified.
     if not defect <= tol:
         raise NotCompletable(
@@ -484,14 +486,6 @@ def complete_last(grid: ProjGrid, *, tol: float = DEFAULT_TOL) -> ProjGrid:
     blocks[m, :m] = eye - grid.blocks.sum(axis=0)
     blocks[m, m] = corner
     return _trusted(blocks)
-
-
-def _corner(grid: ProjGrid) -> tuple[np.ndarray, float]:
-    """Corner block ``sum of all blocks - (M-1)`` of the border completion and
-    its idempotency defect ``||P^2 - P||``; the completion exists exactly when
-    the defect vanishes."""
-    corner = grid.total_sum() - (grid.size - 1) * np.eye(grid.dim)
-    return corner, spectral_norm(corner @ corner - corner)
 
 
 def complete_commuting(grid: ProjGrid, n: int, *, tol: float = DEFAULT_TOL) -> ProjGrid:
@@ -508,7 +502,7 @@ def complete_commuting(grid: ProjGrid, n: int, *, tol: float = DEFAULT_TOL) -> P
     if n < m:
         raise ValueError(f"target size {n} smaller than grid size {m}")
     slack = n - m
-    vectors, sigmas = _joint_eigensystem(grid, tol, 0)
+    vectors, sigmas = _joint_eigensystem(grid, tol)
     distinct = dict.fromkeys(sigmas)
     for sigma in distinct:
         if sigma.defect > slack:

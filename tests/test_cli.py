@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hadperm import pperm
+from _helpers import drop_last_row
+from hadperm import completion, pperm
 from hadperm.cli import build_parser, main
 from hadperm.submagic import (
     ProjGrid,
@@ -283,6 +284,73 @@ class TestCriteria:
         assert payload["weighted_criterion"] is True
         assert payload["complete_last"] is True
         assert payload["agree"] is True
+
+
+class TestNumericalFailure:
+    def test_svd_that_does_not_converge(self, capsys, tmp_path):
+        # the weighted test's c = 150^149 overflows, so the SVD of H D H* - c
+        # does not converge; LinAlgError is a ValueError, yet exit 3, not 2
+        path = tmp_path / "f150.phm"
+        path.write_text(format_phm(drop_last_row(fourier([150]))), encoding="utf-8")
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, out, err = run(capsys, "criteria", path)
+        assert code == 3
+        assert out == ""
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            "error: SVD did not converge"
+        ]
+
+    @pytest.mark.parametrize("command, name", [
+        ("criteria", "criteria"), ("complete-row", "complete_row"),
+    ])
+    def test_arithmetic_error(self, capsys, monkeypatch, command, name):
+        # what Python's float power raises past 1.8e308, as at N >= 256
+        def overflow(*args, **kwargs):
+            raise OverflowError(34, "Numerical result out of range")
+
+        monkeypatch.setattr(completion, name, overflow)
+        code, out, err = run(capsys, command, DATA / "f3_top2.phm")
+        assert code == 3
+        assert out == ""
+        assert err == "error: (34, 'Numerical result out of range')\n"
+
+
+MUTANT_TOKENS = ("1/0", "nan", "1e309", "(1e308,1e308)")
+MUTATED_COMMANDS = {
+    ".phm": ("check", "grid", "complete-row", "complete-grid", "criteria"),
+    ".pls": ("semigroup",),
+    ".pgrid": ("complete-grid",),
+}
+
+
+class TestMutatedInputs:
+    def test_every_outcome_is_an_exit_code(self, capsys, tmp_path):
+        # every data file with each token once, at a seeded random position
+        rng = np.random.default_rng(16)
+        codes = []
+        for source in sorted(DATA.iterdir()):
+            lines = source.read_text(encoding="utf-8").splitlines()
+            spots = [
+                (r, c) for r, line in enumerate(lines) if not line.startswith("#")
+                for c in range(len(line.split()))
+            ]
+            for token in MUTANT_TOKENS:
+                r, c = spots[rng.integers(len(spots))]
+                words = lines[r].split()
+                words[c] = token
+                path = tmp_path / f"mutant{source.suffix}"
+                path.write_text(
+                    "\n".join([*lines[:r], " ".join(words), *lines[r + 1:]]) + "\n",
+                    encoding="utf-8",
+                )
+                for command in MUTATED_COMMANDS[source.suffix]:
+                    with np.errstate(all="ignore"):
+                        code = main([command, str(path)])
+                    capsys.readouterr()
+                    assert code in (0, 1, 2, 3), (source.name, token, r, c, command)
+                    codes.append(code)
+        assert len(codes) >= 180
+        assert {1, 2} <= set(codes)
 
 
 class TestSemigroup:

@@ -1,8 +1,10 @@
 """Completion theory for (N-1) x N partial Hadamard matrices: kernel vector,
 modulus profile, explicit row completion, and the two grid criteria."""
 
+import ast
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -289,15 +291,53 @@ class TestCriteria:
         assert set(votes) == {True, False}
 
     def test_border_vote_does_not_build_the_completion(self, monkeypatch):
+        # neither the grid nor its completion
         def refuse(*args, **kwargs):
-            raise AssertionError("criteria built the completed grid")
+            raise AssertionError("criteria built a grid")
 
-        monkeypatch.setattr(submagic, "complete_last", refuse)
-        # also wherever completion might hold its own reference
-        monkeypatch.setattr(completion, "complete_last", refuse, raising=False)
+        for name in ("grid_from_hadamard", "complete_last"):
+            monkeypatch.setattr(submagic, name, refuse)
+            # also wherever completion might hold its own reference
+            monkeypatch.setattr(completion, name, refuse, raising=False)
         h = drop_last_row(fourier([5]))
-        assert criteria(h).border
-        assert not criteria(perturb(h, 1, 2)).border
+        assert list(criteria(h).votes.values()) == [True] * 4
+        assert list(criteria(perturb(h, 1, 2), tol=1e-8).votes.values()) == [False] * 4
+
+    def test_completion_imports_nothing_from_submagic(self):
+        names = set()
+        for node in ast.walk(ast.parse(Path(completion.__file__).read_text())):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names.update(alias.name for alias in node.names)
+                names.add(getattr(node, "module", None) or "")
+        assert not any("submagic" in name for name in names)
+
+    def test_memory_stays_below_the_grid(self):
+        # the grid of the deleted-row F_64 alone is 16 * 63^2 * 64^2 bytes,
+        # about 260 MB
+        h = drop_last_row(fourier([64]))
+        tracemalloc.start()
+        try:
+            report = criteria(h)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(report.votes.values())
+        assert peak < 4 * 2**20
+
+    def test_not_hadamard_after_well_conditioned_minors(self):
+        # minors -1-i, -2 and i-1 are well-conditioned, the kernel residual
+        # vanishes, and |<R_1, R_2>| = 1 > 0.1 * 3 fails the certification
+        h = TorusMatrix.from_complex(np.array([[1, 1, 1], [1, 1j, -1]], dtype=complex))
+        with pytest.raises(NotHadamard, match=r"\|<R_i,R_j>\| = 1\.000e\+00"):
+            criteria(h)
+
+    def test_singular_minor_raises_before_certification(self):
+        # not partial Hadamard either (|<R_1, R_2>| = 1), but the minors
+        # come first
+        h = TorusMatrix.from_complex(np.array([[1, 1, 1], [1, 1, -1]], dtype=complex))
+        assert not is_partial_hadamard(h, 0.1).ok
+        with pytest.raises(IllConditioned, match="without column 3 is numerically singular"):
+            criteria(h)
 
 
 class TestMinorsOncePerCall:

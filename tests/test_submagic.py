@@ -576,7 +576,7 @@ class TestClassicalPoints:
 
     def test_regrouping_reproduces_blocks(self):
         grid = grid_from_hadamard(m2_family())
-        vectors, sigmas = _joint_eigensystem(grid, 1e-9, 0)
+        vectors, sigmas = _joint_eigensystem(grid, 1e-9)
         m, d = grid.size, grid.dim
         rebuilt = np.zeros_like(np.asarray(grid.blocks))
         for c, sigma in enumerate(sigmas):
@@ -620,12 +620,6 @@ class TestClassicalPoints:
         report = check_grid(full)
         assert report.magic and report.commuting
         assert np.array_equal(full.blocks[:m, :m], grid.blocks)
-
-    def test_deterministic_in_seed(self):
-        grid = grid_from_hadamard(fourier([3]))
-        _, at_5 = _joint_eigensystem(grid, 1e-9, 5)
-        _, at_9 = _joint_eigensystem(grid, 1e-9, 9)
-        assert Counter(at_5) == Counter(at_9)
 
     def test_non_projection_blocks_degenerate(self):
         # commuting (scalar) blocks whose eigenvalues are not 0/1: no joint
