@@ -14,7 +14,7 @@ import json
 import math
 import sys
 
-from numpy.linalg import LinAlgError
+import numpy as np
 
 from . import acceptance, completion, pperm, prelatin, submagic, torus
 from ._linalg import DEFAULT_TOL
@@ -51,7 +51,7 @@ _USAGE_ERRORS = (
 )
 _CRITERION_ERRORS = (NotHadamard, NotCompletable, NotCommuting, NotSubmagic, RankError)
 # caught first: LinAlgError (an SVD that does not converge) is a ValueError
-_NUMERIC_ERRORS = (IllConditioned, DegenerateSplit, LinAlgError, ArithmeticError)
+_NUMERIC_ERRORS = (IllConditioned, DegenerateSplit, np.linalg.LinAlgError, ArithmeticError)
 
 
 def _emit(args, report: dict, text_lines: list[str]) -> None:
@@ -171,7 +171,8 @@ def _cmd_criteria(args) -> int:
         "modulus_hadamard_value": profile.hadamard_value,
         "gram_criterion": report.gram,
         "weighted_criterion": weighted.passes,
-        "weighted_c": weighted.c,
+        # JSON has no infinity: c overflows from N = 144
+        "weighted_c": weighted.c if math.isfinite(weighted.c) else None,
         "complete_last": report.border,
         "agree": agree,
     }
@@ -373,7 +374,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # every numerical check fails on NaN or inf, so numpy's warnings
+        # would only add lines ahead of the one error report
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except _NUMERIC_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -30,8 +30,13 @@ Every public call computes the N minors once, in one batched pass (one SVD
 call and one determinant call per stack of minors, and one stack for every
 N <= 40), and the tests that need them share that pass.
 
-Tolerances on determinant moduli scale with N^(N/2 - 1), since that is the
-natural magnitude of the minors.
+Every test is scale-free, so each one reads the cofactor vector at unit
+scale: the completing row ``u = N^(1 - N/2) * Z``, whose entries have modulus
+1 exactly when H completes.  Tolerances are absolute on u and relative on
+the weighted test's ``sum |u_j|^2``; no test raises N to a positive power,
+so the tests are decided at every N whose minors are finite doubles
+(N <= 257 for unit-modulus input).  The reported minor moduli and the
+weighted ``c`` stay at the raw scale of Z.
 """
 
 from __future__ import annotations
@@ -47,7 +52,6 @@ from .torus import TorusMatrix
 
 __all__ = [
     "CriteriaReport",
-    "KernelData",
     "ModulusProfile",
     "WeightedResult",
     "kernel_vector",
@@ -60,22 +64,11 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class KernelData:
-    """Cofactor kernel vector of an (N-1) x N matrix.
-
-    ``z`` spans the orthogonal complement of the rows; ``moduli[j-1]`` is
-    |det H^(j)|, equal to |z_j|.
-    """
-
-    z: np.ndarray
-    moduli: np.ndarray
-
-
-@dataclass(frozen=True)
 class ModulusProfile:
-    """Minor determinant moduli |det H^(j)| and the two derived flags:
-    ``constant`` (all moduli agree within tol * N^(N/2-1), equivalent to
-    completability) and ``hadamard_value`` (all moduli sit at N^(N/2-1))."""
+    """Minor determinant moduli |det H^(j)| and the two derived flags, both
+    decided on the unit moduli |det H^(j)| * N^(1-N/2): ``constant`` (they
+    agree within tol, equivalent to completability) and ``hadamard_value``
+    (they all sit within tol of 1)."""
 
     moduli: tuple[float, ...]
     constant: bool
@@ -84,8 +77,13 @@ class ModulusProfile:
 
 @dataclass(frozen=True)
 class WeightedResult:
-    """Outcome of the weighted column test: ``H D H*`` must be ``c`` times the
-    identity with c the total squared kernel mass."""
+    """Outcome of the weighted column test: ``H D H*`` must be a multiple of
+    the identity, with D the squared moduli of the completing row.
+
+    ``c`` is the total squared kernel mass ``sum |Z_j|^2`` (``inf`` from
+    N = 144, where it overflows a double); ``deviation`` is the spectral
+    norm of ``H D H* - c' I`` over ``c' = sum |u_j|^2``, which is
+    scale-free."""
 
     passes: bool
     c: float
@@ -127,40 +125,48 @@ def _minors(h: TorusMatrix) -> np.ndarray:
     return torus._minor_dets(h.to_complex(), range(1, n + 1))
 
 
-def _kernel(h: TorusMatrix, minors: np.ndarray, tol: float) -> KernelData:
-    """Cofactor kernel data without the partial Hadamard precondition check."""
+def _cofactors(minors: np.ndarray) -> np.ndarray:
+    """Z_j = (-1)^j * conj(det H^(j))."""
+    return (-1.0) ** np.arange(1, len(minors) + 1) * minors.conj()
+
+
+def _kernel(h: TorusMatrix, minors: np.ndarray, tol: float) -> np.ndarray:
+    """The completing row ``u = N^(1-N/2) * Z``, checked against every row
+    but without the partial Hadamard precondition check."""
     n = h.cols
-    signs = np.array([(-1) ** j for j in range(1, n + 1)], dtype=float)
-    z = signs * minors.conj()
-    # The cofactor identity makes <R_i, z> an N x N determinant with a
+    u = n ** (1.0 - n / 2.0) * _cofactors(minors)
+    # The cofactor identity makes <R_i, Z> an N x N determinant with a
     # repeated row, hence zero; deviations beyond rounding mean the minor
-    # determinants themselves are unreliable.
-    residual = float(np.abs(h.to_complex() @ z.conj()).max())
-    allowance = max(tol, 1e3 * np.finfo(float).eps) * n ** (n / 2.0)
-    if residual > allowance:
+    # determinants themselves are unreliable.  Written so that NaN fails.
+    residual = float(np.abs(h.to_complex() @ u.conj()).max())
+    allowance = max(tol, 1e3 * np.finfo(float).eps) * n
+    if not residual <= allowance:
         raise IllConditioned(
             f"kernel vector fails row orthogonality: residual {residual:.3e} "
             f"exceeds {allowance:.3e}"
         )
-    return KernelData(z=z, moduli=np.abs(minors))
+    return u
 
 
-def kernel_vector(h: TorusMatrix, *, tol: float = DEFAULT_TOL) -> KernelData:
-    """Kernel vector of a certified (N-1) x N partial Hadamard matrix.
+def kernel_vector(h: TorusMatrix, *, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Cofactor vector Z of a certified (N-1) x N partial Hadamard matrix.
 
-    ``z_j = (-1)^j * conj(det H^(j))``; orthogonality against every row is
-    verified internally at a scale of N^(N/2).
+    ``Z_j = (-1)^j * conj(det H^(j))``, so ``|Z_j| = |det H^(j)|``;
+    orthogonality against every row is verified internally on the unit-scale
+    row ``N^(1-N/2) * Z``.
     """
     torus._require_hadamard(h, tol)
-    return _kernel(h, _minors(h), tol)
+    minors = _minors(h)
+    _kernel(h, minors, tol)
+    return _cofactors(minors)
 
 
 def modulus_profile(h: TorusMatrix, tol: float = DEFAULT_TOL) -> ModulusProfile:
     """Report all |det H^(j)| together with the constancy flags.
 
     ``constant`` is the completability test; ``hadamard_value`` additionally
-    pins the common value at N^(N/2-1).  Both comparisons are relative to
-    N^(N/2-1).
+    pins the common value at N^(N/2-1).  Both compare the unit moduli
+    |det H^(j)| * N^(1-N/2) at ``tol``.
     """
     return _profile(_minors(h), tol)
 
@@ -168,13 +174,11 @@ def modulus_profile(h: TorusMatrix, tol: float = DEFAULT_TOL) -> ModulusProfile:
 def _profile(minors: np.ndarray, tol: float) -> ModulusProfile:
     n = len(minors)
     moduli = np.abs(minors)
-    scale = n ** (n / 2.0 - 1.0)
-    constant = bool(moduli.max() - moduli.min() <= tol * scale)
-    hadamard_value = bool(np.abs(moduli - scale).max() <= tol * scale)
+    unit = moduli * n ** (1.0 - n / 2.0)
     return ModulusProfile(
         moduli=tuple(float(v) for v in moduli),
-        constant=constant,
-        hadamard_value=hadamard_value,
+        constant=bool(unit.max() - unit.min() <= tol),
+        hadamard_value=bool(np.abs(unit - 1.0).max() <= tol),
     )
 
 
@@ -187,14 +191,12 @@ def complete_row(h: TorusMatrix, *, tol: float = DEFAULT_TOL) -> TorusMatrix:
     bit-exactly; the appended row is float, so the result is a float matrix.
     """
     minors = _minors(h)
-    n = len(minors)
     profile = _profile(minors, tol)
     if not profile.constant:
         raise NotCompletable(
             f"minor moduli are not constant: {profile.moduli}", witness=profile
         )
-    data = _kernel(h, minors, tol)
-    row = n ** (1.0 - n / 2.0) * data.z
+    row = _kernel(h, minors, tol)
     try:
         return torus._stack(h, row[None, :])
     except ValueError as exc:
@@ -218,22 +220,24 @@ def gram_criterion(h: TorusMatrix, tol: float = DEFAULT_TOL) -> bool:
 
 
 def weighted_criterion(h: TorusMatrix, tol: float = DEFAULT_TOL) -> WeightedResult:
-    """Weighted column test: ``H D H* = c`` with ``D = diag(|z_j|^2)``.
+    """Weighted column test: ``H D H* = c`` with ``D = diag(|Z_j|^2)``.
 
-    c is the total squared kernel mass ``sum_k |z_k|^2`` and the deviation is
-    measured relative to c.  Equivalent to completability of the associated
-    grid, like the Gram test.
+    c is the total squared kernel mass ``sum_k |Z_k|^2``.  The test runs at
+    unit scale, on ``D' = diag(|u_j|^2)`` and ``c' = sum_k |u_k|^2`` for the
+    completing row u, and passes when ``||H D' H* - c'|| <= tol * c'``.
+    Equivalent to completability of the associated grid, like the Gram test.
     """
     return _weighted(h, _minors(h), tol)
 
 
 def _weighted(h: TorusMatrix, minors: np.ndarray, tol: float) -> WeightedResult:
-    n = h.cols
-    weights = _kernel(h, minors, tol).moduli**2
-    c = float(weights.sum())
+    weights = np.abs(_kernel(h, minors, tol)) ** 2
+    mass = float(weights.sum())
     a = h.to_complex()
-    deviation = spectral_norm((a * weights) @ a.conj().T - c * np.eye(n - 1))
-    return WeightedResult(passes=bool(deviation <= tol * c), c=c, deviation=deviation)
+    norm = spectral_norm((a * weights) @ a.conj().T - mass * np.eye(h.rows))
+    with np.errstate(over="ignore"):
+        c = float((np.abs(minors) ** 2).sum())
+    return WeightedResult(passes=bool(norm <= tol * mass), c=c, deviation=norm / mass)
 
 
 def criteria(h: TorusMatrix, tol: float = DEFAULT_TOL) -> CriteriaReport:

@@ -23,7 +23,7 @@ class SizeMismatch(HadpermError):
 
 
 class LimitExceeded(HadpermError):
-    """Requested enumeration exceeds the configured limit."""
+    """Requested enumeration, closure or pair scan exceeds its configured limit."""
 
 
 class NotHadamard(HadpermError):

@@ -37,6 +37,7 @@ from ._text import format_complex, parse_complex, read_document
 from .errors import (
     DegenerateSplit,
     FormatError,
+    LimitExceeded,
     NotCommuting,
     NotCompletable,
     NotSubmagic,
@@ -67,6 +68,10 @@ __all__ = [
 
 _RETRY_BUDGET = 3
 _SVD_BATCH = 128
+# Most multiply-adds, M^2 (M^2 - 1) / 2 pair products of d^3 each, that one
+# pair scan may take: the grid of F_32 (1.7e10, about 10 s on one core of a
+# 2-core x86 box) passes, that of F_33 (2.1e10) and larger ones are refused.
+_PAIR_SCAN_LIMIT = 2 * 10**10
 
 
 class ProjGrid:
@@ -170,9 +175,11 @@ def check_grid(grid: ProjGrid, tol: float = DEFAULT_TOL) -> GridReport:
     the matrices whose Frobenius norm, an upper bound on the spectral norm,
     can still exceed the largest spectral norm found so far
     (:func:`_max_spectral`), so every reported value is the exact maximum at
-    every grid size and every scale.
+    every grid size and every scale.  A grid whose pair scan would exceed
+    ``_PAIR_SCAN_LIMIT`` is refused with :class:`LimitExceeded` first.
     """
     m, d = grid.size, grid.dim
+    _require_pair_scan_fits(m, d)
     blocks = grid.blocks
     flat = blocks.reshape(m * m, d, d)
     eye = np.eye(d)
@@ -232,6 +239,17 @@ def _pair_defects(flat: np.ndarray, m: int) -> tuple[float, float, float]:
     row = products(first // m == second // m)
     col = products(first % m == second % m)
     return row, col, _max_spectral(fro[2], commutators)
+
+
+def _require_pair_scan_fits(m: int, d: int) -> None:
+    """Raise :class:`LimitExceeded` when the pair scan of an M x M grid of
+    d x d blocks would take more than ``_PAIR_SCAN_LIMIT`` multiply-adds."""
+    work = m * m * (m * m - 1) // 2 * d**3
+    if work > _PAIR_SCAN_LIMIT:
+        raise LimitExceeded(
+            f"pair scan of a {m} x {m} grid of {d} x {d} blocks needs {work:.2e} "
+            f"multiply-adds, above the limit {_PAIR_SCAN_LIMIT:.2e}"
+        )
 
 
 def _pair_norms(flat: np.ndarray) -> np.ndarray:
@@ -306,9 +324,10 @@ def _frobenius_norms(mats: np.ndarray) -> np.ndarray:
     fro = np.sqrt(sq)
     accurate = (sq >= 2.0**-600) & (sq < np.inf)
     if not accurate.all():
-        top = np.maximum(parts.max(axis=1, initial=0.0), -parts.min(axis=1, initial=0.0))
-        redo = np.flatnonzero(~accurate & (top != 0))
-        _, exp = np.frexp(top[redo])
+        redo = np.flatnonzero(~accurate)
+        top = np.abs(parts[redo]).max(axis=1, initial=0.0)
+        redo, top = redo[top != 0], top[top != 0]
+        _, exp = np.frexp(top)
         scaled = np.ldexp(parts[redo], -exp[:, None])
         fro[redo] = np.ldexp(np.sqrt(np.einsum("ij,ij->i", scaled, scaled)), exp)
     return fro
@@ -397,6 +416,7 @@ def _joint_eigensystem(
 
 
 def _require_commuting(ops: np.ndarray, m: int, tol: float) -> None:
+    _require_pair_scan_fits(m, ops.shape[-1])
     _, _, commutator = _pair_defects(ops, m)
     # Written so that NaN fails, as in check_grid's commuting flag.
     if not commutator <= tol:

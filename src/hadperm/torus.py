@@ -321,7 +321,8 @@ def minor_det(h: TorusMatrix, j: int) -> complex:
     Requires M = N - 1.  A one-column call of the batched minor pass that
     the completion tests use: pivoted elimination in double precision, with
     :class:`IllConditioned` raised when the condition-number based estimate
-    of the relative error exceeds 1e-6.
+    of the relative error exceeds 1e-6 or the determinant is not a finite
+    double.
     """
     if h.rows != h.cols - 1:
         raise ValueError(
@@ -339,8 +340,10 @@ def _minor_dets(a: np.ndarray, cols: Sequence[int]) -> np.ndarray:
     The minors are taken in batches whose stack holds at most
     ``_MINOR_BATCH`` entries, each in its own call so that its stack is freed
     before the next is formed.  Raises :class:`IllConditioned` for the first
-    column whose minor is numerically singular or whose estimated relative
-    error ``n eps s_max / s_min`` exceeds 1e-6.
+    column whose minor is numerically singular, whose estimated relative
+    error ``n eps s_max / s_min`` exceeds 1e-6, or whose determinant is not a
+    finite double (from N = 258 for unit-modulus entries, whose minors have
+    modulus N^(N/2-1)).
     """
     n = a.shape[0]
     dropped = np.asarray(cols, dtype=np.intp) - 1
@@ -367,19 +370,22 @@ def _minor_batch(a: np.ndarray, dropped: np.ndarray) -> np.ndarray:
     s = np.linalg.svd(stack, compute_uv=False)
     s_max, s_min = s[:, 0], s[:, -1]
     singular = s_min <= n * eps * s_max
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         error = n * eps * s_max / s_min
-    failing = singular | (error > rel_tol)
+        det = np.linalg.det(stack)
+    failing = singular | (error > rel_tol) | ~np.isfinite(det)
     if failing.any():
         b = int(np.argmax(failing))
         j = int(dropped[b]) + 1
         if singular[b]:
             raise IllConditioned(f"minor without column {j} is numerically singular")
-        raise IllConditioned(
-            f"determinant of minor without column {j}: estimated relative error "
-            f"{error[b]:.3e} exceeds {rel_tol:.3e}"
-        )
-    return np.linalg.det(stack)
+        if error[b] > rel_tol:
+            raise IllConditioned(
+                f"determinant of minor without column {j}: estimated relative error "
+                f"{error[b]:.3e} exceeds {rel_tol:.3e}"
+            )
+        raise IllConditioned(f"determinant of minor without column {j} is not a finite double")
+    return det
 
 
 # --------------------------------------------------------------------------

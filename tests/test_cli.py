@@ -19,7 +19,7 @@ from hadperm.submagic import (
     random_grid,
     read_pgrid,
 )
-from hadperm.torus import format_phm, fourier
+from hadperm.torus import format_phm, fourier, parse_phm
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -174,6 +174,13 @@ class TestGrid:
         assert "commuting: false" in out
         assert "pre_latin" not in out
 
+    def test_pair_scan_past_the_limit_is_a_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "f40.phm"
+        path.write_text(format_phm(fourier([40])), encoding="utf-8")
+        code, out, err = run(capsys, "grid", path)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: pair scan of a 40 x 40 grid") and err.count("\n") == 1
+
     def test_not_hadamard_exit_code(self, capsys):
         code, _, err = run(capsys, "grid", DATA / "not_orthogonal.phm")
         assert code == 1
@@ -196,6 +203,22 @@ class TestCompleteGrid:
         assert code == 1
         assert out == ""
         assert "input is not submagic" in err
+
+    def test_overflow_is_reported_in_one_line(self, tmp_path):
+        # numpy warns about the overflowing products; pytest would capture
+        # warnings raised in process, so the command runs in a child
+        rows = ["(1e+200,0.0) (1e+200,0.0)"] * 8
+        path = tmp_path / "huge.pgrid"
+        path.write_text("pgrid v1\n2 2\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "hadperm.cli", "complete-grid", str(path)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("error: input is not submagic")
 
     def test_pq_counterexample_to_four(self, capsys):
         code, out, _ = run(
@@ -287,24 +310,22 @@ class TestCriteria:
 
 
 class TestNumericalFailure:
-    def test_svd_that_does_not_converge(self, capsys, tmp_path):
-        # the weighted test's c = 150^149 overflows, so the SVD of H D H* - c
-        # does not converge; LinAlgError is a ValueError, yet exit 3, not 2
-        path = tmp_path / "f150.phm"
-        path.write_text(format_phm(drop_last_row(fourier([150]))), encoding="utf-8")
-        with np.errstate(over="ignore", invalid="ignore"):
-            code, out, err = run(capsys, "criteria", path)
+    def test_svd_that_does_not_converge(self, capsys, monkeypatch):
+        # LinAlgError is a ValueError, yet exit 3, not 2
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(completion, "criteria", no_convergence)
+        code, out, err = run(capsys, "criteria", DATA / "f3_top2.phm")
         assert code == 3
         assert out == ""
-        assert [line for line in err.splitlines() if line.startswith("error:")] == [
-            "error: SVD did not converge"
-        ]
+        assert err == "error: SVD did not converge\n"
 
     @pytest.mark.parametrize("command, name", [
         ("criteria", "criteria"), ("complete-row", "complete_row"),
     ])
     def test_arithmetic_error(self, capsys, monkeypatch, command, name):
-        # what Python's float power raises past 1.8e308, as at N >= 256
+        # what Python's float power raises past 1.8e308
         def overflow(*args, **kwargs):
             raise OverflowError(34, "Numerical result out of range")
 
@@ -313,6 +334,80 @@ class TestNumericalFailure:
         assert code == 3
         assert out == ""
         assert err == "error: (34, 'Numerical result out of range')\n"
+
+
+@pytest.fixture(scope="module")
+def deleted_row_f256(tmp_path_factory):
+    """The deleted-row F_256 as a file, and its minors in closed form: the
+    deleted row r spans the kernel of the others, so Z = 256^127 * r and
+    det H^(j) = (-1)^j * conj(Z_j), up to one unimodular factor."""
+    full = fourier([256])
+    path = tmp_path_factory.mktemp("large") / "f256.phm"
+    path.write_text(format_phm(drop_last_row(full)), encoding="utf-8")
+    signs = (-1.0) ** np.arange(1, 257)
+    return path, signs * (2.0**1016 * full.to_complex()[-1]).conj()
+
+
+@pytest.fixture(scope="module")
+def deleted_row_f258(tmp_path_factory):
+    path = tmp_path_factory.mktemp("large") / "f258.phm"
+    path.write_text(format_phm(drop_last_row(fourier([258]))), encoding="utf-8")
+    return path
+
+
+class TestLargeN:
+    # Every deleted-row F_N completes.  Its minors have modulus N^(N/2-1),
+    # 2^1016 at N = 256; their squared sum c overflows from N = 144.
+    def test_criteria_past_the_overflow_of_c(self, capsys, tmp_path):
+        path = tmp_path / "f150.phm"
+        path.write_text(format_phm(drop_last_row(fourier([150]))), encoding="utf-8")
+        code, out, err = run(capsys, "criteria", path)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1:] == [
+            "modulus_constant: true",
+            "modulus_hadamard_value: true",
+            "gram_criterion: true",
+            "weighted_criterion: true",
+            "weighted_c: inf",
+            "complete_last: true",
+            "agree: true",
+        ]
+
+    @pytest.fixture
+    def f256(self, monkeypatch, deleted_row_f256):
+        # the minor pass at N = 256 takes seconds; everything after it runs
+        path, minors = deleted_row_f256
+        monkeypatch.setattr(completion, "_minors", lambda h: minors)
+        return path
+
+    def test_criteria(self, capsys, f256):
+        code, out, err = run(capsys, "criteria", f256)
+        assert (code, err) == (0, "")
+        assert out.splitlines()[-4:] == [
+            "weighted_criterion: true", "weighted_c: inf", "complete_last: true", "agree: true",
+        ]
+
+    def test_criteria_json_writes_no_infinity(self, capsys, f256):
+        code, out, err = run(capsys, "criteria", f256, "--json")
+        assert (code, err) == (0, "")
+        assert "Infinity" not in out
+        payload = json.loads(out)
+        assert payload["weighted_c"] is None
+        assert payload["agree"] is True
+        assert len(payload["moduli"]) == 256
+
+    def test_complete_row(self, capsys, f256):
+        code, out, err = run(capsys, "complete-row", f256)
+        assert (code, err) == (0, "")
+        a = parse_phm(out).to_complex()
+        assert np.abs(a @ a.conj().T - 256 * np.eye(256)).max() <= 1e-9
+
+    @pytest.mark.parametrize("command", ["criteria", "complete-row"])
+    def test_minor_past_a_double_is_refused(self, capsys, deleted_row_f258, command):
+        # 258^128 > 1.8e308: the first minor already overflows
+        code, out, err = run(capsys, command, deleted_row_f258)
+        assert (code, out) == (3, "")
+        assert err == "error: determinant of minor without column 1 is not a finite double\n"
 
 
 MUTANT_TOKENS = ("1/0", "nan", "1e309", "(1e308,1e308)")

@@ -17,6 +17,7 @@ from _helpers import (
     take_rows,
 )
 from hadperm import completion, submagic, torus
+from hadperm._linalg import spectral_norm
 from hadperm.completion import (
     complete_row,
     criteria,
@@ -48,33 +49,33 @@ def perturb(h, i, j, angle=0.05):
 
 class TestKernelVector:
     def test_f3_exact_values(self):
-        data = kernel_vector(f3_top2())
+        z = kernel_vector(f3_top2())
         expected = np.array([-1j * math.sqrt(3), W3 - 1, 1 - W3**2])
-        assert np.abs(data.z - expected).max() <= 1e-12
-        assert np.abs(data.moduli - math.sqrt(3)).max() <= 1e-12
+        assert np.abs(z - expected).max() <= 1e-12
+        assert np.abs(np.abs(z) - math.sqrt(3)).max() <= 1e-12
 
     def test_two_column_case(self):
-        data = kernel_vector(ones_row())
-        assert np.abs(data.z - np.array([-1.0, 1.0])).max() <= 1e-14
+        z = kernel_vector(ones_row())
+        assert np.abs(z - np.array([-1.0, 1.0])).max() <= 1e-14
 
     def test_f4_moduli(self):
-        data = kernel_vector(take_rows(fourier([4]), 3))
-        assert np.abs(data.moduli - 4.0).max() <= 1e-10
+        z = kernel_vector(take_rows(fourier([4]), 3))
+        assert np.abs(np.abs(z) - 4.0).max() <= 1e-10
 
     def test_orthogonal_to_all_rows(self):
         rng = np.random.default_rng(71)
         for n in range(3, 9):
             h = drop_last_row(exact_randomized_fourier(n, rng))
-            data = kernel_vector(h)
-            residual = np.abs(h.to_complex() @ data.z.conj()).max()
+            z = kernel_vector(h)
+            residual = np.abs(h.to_complex() @ z.conj()).max()
             assert residual <= 1e-8 * n ** (n / 2.0)
 
     def test_moduli_match_independent_determinants(self):
         rng = np.random.default_rng(73)
         h = drop_last_row(exact_randomized_fourier(5, rng))
-        data = kernel_vector(h)
+        z = kernel_vector(h)
         for j in range(1, 6):
-            assert data.moduli[j - 1] == pytest.approx(abs(minor_det(h, j)))
+            assert abs(z[j - 1]) == pytest.approx(abs(minor_det(h, j)))
 
     def test_requires_partial_hadamard(self):
         bad = TorusMatrix.from_complex(np.ones((2, 3), dtype=complex))
@@ -471,7 +472,74 @@ class TestIllConditionedNamesFirstColumn:
         with pytest.raises(IllConditioned, match=message):
             call(close_columns(angle))
 
+    @pytest.mark.parametrize("first", [1, 2, 3])
+    def test_determinant_past_a_double(self, first):
+        # well-conditioned minors whose determinants (about 1.7e400) overflow
+        a = 1e200 * f3_top2().to_complex()
+        with pytest.raises(
+            IllConditioned,
+            match=rf"^determinant of minor without column {first} is not a finite double$",
+        ):
+            torus._minor_dets(a, range(first, 4))
+
     def test_first_failing_column_in_a_later_batch(self, monkeypatch):
         monkeypatch.setattr(torus, "_MINOR_BATCH", 2 * 3 * 3)
         with pytest.raises(IllConditioned, match="without column 3 is"):
             complete_row(close_columns(0.0))
+
+
+def unnormalised_votes(h: TorusMatrix, tol: float):
+    """The modulus and weighted votes as the raw-scale formulas decide them:
+    moduli against tol * N^(N/2-1), the weighted test against tol * c with
+    c = sum |det H^(j)|^2.  Returns the votes, the moduli and c."""
+    n = h.cols
+    a = h.to_complex()
+    moduli = np.abs(torus._minor_dets(a, range(1, n + 1)))
+    scale = n ** (n / 2.0 - 1.0)
+    weights = moduli**2
+    c = float(weights.sum())
+    deviation = spectral_norm((a * weights) @ a.conj().T - c * np.eye(n - 1))
+    votes = (
+        bool(moduli.max() - moduli.min() <= tol * scale),
+        bool(np.abs(moduli - scale).max() <= tol * scale),
+        bool(deviation <= tol * c),
+    )
+    return votes, tuple(float(v) for v in moduli), c
+
+
+class TestUnitScaleMatchesRawScale:
+    """The tests decide on the unit-scale row u = N^(1-N/2) Z; on inputs whose
+    raw minors are finite they give the votes of the raw-scale formulas,
+    near the tolerance too, and report the same moduli and c."""
+
+    ANGLES = (0.0, 0.05, 1e-5, 1e-7, 3e-9)
+    TOLS = (1e-9, 1e-8, 1e-6)
+
+    def test_votes_moduli_and_c(self):
+        rng = np.random.default_rng(17)
+        seen = set()
+        for n in range(3, 25):
+            h = float_phased_fourier(n, rng)
+            i, j = int(rng.integers(n - 1)), int(rng.integers(n))
+            for angle in self.ANGLES:
+                matrix = perturb(h, i, j, angle)
+                for tol in self.TOLS:
+                    votes, moduli, c = unnormalised_votes(matrix, tol)
+                    report = criteria(matrix, tol)
+                    profile, weighted = report.profile, report.weighted
+                    got = (profile.constant, profile.hadamard_value, weighted.passes)
+                    assert got == votes, (n, angle, tol)
+                    assert profile.moduli == moduli
+                    assert weighted.c == c
+                    seen.add(votes)
+        # the corpus reaches both sides of every tolerance
+        assert len(seen) >= 4
+
+    def test_completing_row_is_the_raw_formula(self):
+        rng = np.random.default_rng(19)
+        for n in range(3, 25):
+            h = float_phased_fourier(n, rng)
+            minors = torus._minor_dets(h.to_complex(), range(1, n + 1))
+            signs = np.array([(-1) ** j for j in range(1, n + 1)], dtype=float)
+            want = n ** (1.0 - n / 2.0) * (signs * minors.conj())
+            assert_bit_equal(complete_row(h).to_complex()[-1], want)

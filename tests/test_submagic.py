@@ -25,6 +25,7 @@ from hadperm._linalg import spectral_norms
 from hadperm.errors import (
     DegenerateSplit,
     FormatError,
+    LimitExceeded,
     NotCommuting,
     NotCompletable,
     NotHadamard,
@@ -276,6 +277,45 @@ class TestCommutatorIsExact:
             grid = random_grid(m, 4, seed)
             expected = brute_force_commutator(grid)
             assert check_grid(grid).worst_violations["commutator"] == expected
+
+
+class TestPairScanLimit:
+    """Pair scans past ``_PAIR_SCAN_LIMIT`` multiply-adds are refused before
+    anything is allocated."""
+
+    @staticmethod
+    def zero_grid(m, d):
+        # every block is one shared zero array, so the grid takes d^2 entries
+        zero = np.zeros((1, 1, d, d), dtype=complex)
+        return submagic._trusted(np.broadcast_to(zero, (m, m, d, d)))
+
+    def test_check_grid(self):
+        grid = self.zero_grid(40, 40)
+        tracemalloc.start()
+        try:
+            with pytest.raises(
+                LimitExceeded,
+                match=r"^pair scan of a 40 x 40 grid of 40 x 40 blocks needs "
+                r"8\.19e\+10 multiply-adds, above the limit 2\.00e\+10$",
+            ):
+                check_grid(grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
+
+    def test_fallback_scan_of_the_eigenbasis(self):
+        ops = self.zero_grid(40, 40).blocks.reshape(40 * 40, 40, 40)
+        with pytest.raises(LimitExceeded, match="40 x 40 grid of 40 x 40 blocks"):
+            submagic._require_commuting(ops, 40, 1e-9)
+
+    @pytest.mark.parametrize("n, fits", [(16, True), (28, True), (40, False), (64, False)])
+    def test_fourier_grid_sizes(self, n, fits):
+        if fits:
+            submagic._require_pair_scan_fits(n, n)
+        else:
+            with pytest.raises(LimitExceeded):
+                submagic._require_pair_scan_fits(n, n)
 
 
 class TestPairScanMatchesReference:
