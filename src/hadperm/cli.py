@@ -2,9 +2,12 @@
 
 Subcommands: check, grid, complete-row, complete-grid, criteria, semigroup,
 count, enumerate, fourier, tensor, verify.  Exit codes: 0 success / criterion
-holds, 1 criterion fails or not completable, 2 parse or usage error,
-3 numerical failure.  Reports are plain ``key: value`` lines, or one JSON
-object with ``--json``; identical arguments produce byte-identical output.
+holds; 1 criterion fails or not completable (:class:`CriterionFailure`);
+2 parse or usage error, or a request past a size limit (:class:`UsageError`,
+``ValueError``, ``OSError``); 3 numerical failure (:class:`NumericalFailure`,
+``LinAlgError``, ``ArithmeticError``).  Errors print one ``error:`` line to
+stderr.  Reports are plain ``key: value`` lines, or one JSON object with
+``--json``; identical arguments produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -18,40 +21,17 @@ import numpy as np
 
 from . import acceptance, completion, pperm, prelatin, submagic, torus
 from ._linalg import DEFAULT_TOL
-from .errors import (
-    DegenerateSplit,
-    FormatError,
-    IllConditioned,
-    InvalidSquare,
-    LimitExceeded,
-    NotCommuting,
-    NotCompletable,
-    NotHadamard,
-    NotSubmagic,
-    RankError,
-    SizeMismatch,
-    TooManyUndefined,
-    Unsupported,
-)
+from .errors import CriterionFailure, NumericalFailure, UsageError
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 
-_USAGE_ERRORS = (
-    FormatError,
-    SizeMismatch,
-    LimitExceeded,
-    Unsupported,
-    InvalidSquare,
-    TooManyUndefined,
-    ValueError,
-    OSError,  # an input path that is missing, a directory or unreadable
-)
-_CRITERION_ERRORS = (NotHadamard, NotCompletable, NotCommuting, NotSubmagic, RankError)
 # caught first: LinAlgError (an SVD that does not converge) is a ValueError
-_NUMERIC_ERRORS = (IllConditioned, DegenerateSplit, np.linalg.LinAlgError, ArithmeticError)
+_NUMERIC_ERRORS = (NumericalFailure, np.linalg.LinAlgError, ArithmeticError)
+# OSError: an input path that is missing, a directory or unreadable
+_USAGE_ERRORS = (UsageError, ValueError, OSError)
 
 
 def _emit(args, report: dict, text_lines: list[str]) -> None:
@@ -103,6 +83,8 @@ def _cmd_check(args) -> int:
 
 def _cmd_grid(args) -> int:
     h = torus.read_phm(args.input)
+    # refuse a grid too large to certify before building it
+    submagic._require_pair_scan_fits(h.rows, h.cols)
     grid = submagic.grid_from_hadamard(h, tol=args.tol)
     report = submagic.check_grid(grid, args.tol)
     payload = {
@@ -381,7 +363,7 @@ def main(argv: list[str] | None = None) -> int:
     except _NUMERIC_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except _CRITERION_ERRORS as exc:
+    except CriterionFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
     except _USAGE_ERRORS as exc:

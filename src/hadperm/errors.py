@@ -1,12 +1,17 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every error is one of three families, each named for the command-line exit
+code it ends in: :class:`CriterionFailure` (1), :class:`UsageError` (2) and
+:class:`NumericalFailure` (3).
+"""
 
 from __future__ import annotations
 
 __all__ = [
-    "HadpermError", "FormatError", "SizeMismatch", "LimitExceeded", "NotHadamard",
-    "NotSubmagic", "NotCommuting", "NotCompletable", "DegenerateSplit", "RankError",
-    "IllConditioned", "TooManyUndefined", "Unsupported", "InvalidSquare",
-    "DuplicateInRow", "DuplicateInColumn", "OutOfAlphabet",
+    "HadpermError", "CriterionFailure", "UsageError", "NumericalFailure",
+    "NotHadamard", "NotSubmagic", "NotCommuting", "NotCompletable", "RankError",
+    "FormatError", "LimitExceeded", "InvalidSquare",
+    "IllConditioned", "DegenerateSplit",
 ]
 
 
@@ -14,35 +19,31 @@ class HadpermError(Exception):
     """Base class for all package-specific errors."""
 
 
-class FormatError(HadpermError):
-    """Malformed text input (.phm, .pls, .pgrid, or serialized permutations)."""
+class CriterionFailure(HadpermError):
+    """The input fails a criterion, or has no completion of the kind asked."""
 
 
-class SizeMismatch(HadpermError):
-    """Operands live on ground sets of different sizes."""
+class UsageError(HadpermError):
+    """The input or the request is refused before any answer is computed."""
 
 
-class LimitExceeded(HadpermError):
-    """Requested enumeration, closure or pair scan exceeds its configured limit."""
+class NumericalFailure(HadpermError):
+    """Double-precision numerics cannot certify the answer."""
 
 
-class NotHadamard(HadpermError):
+class NotHadamard(CriterionFailure):
     """Input failed partial Hadamard certification."""
 
-    def __init__(self, message: str, report=None):
-        super().__init__(message)
-        self.report = report
 
-
-class NotSubmagic(HadpermError):
+class NotSubmagic(CriterionFailure):
     """Grid failed submagic certification."""
 
 
-class NotCommuting(HadpermError):
+class NotCommuting(CriterionFailure):
     """Grid entries do not pairwise commute within tolerance."""
 
 
-class NotCompletable(HadpermError):
+class NotCompletable(CriterionFailure):
     """No completion of the requested kind exists.
 
     ``witness`` carries the obstruction: a defect norm, a modulus profile,
@@ -54,44 +55,25 @@ class NotCompletable(HadpermError):
         self.witness = witness
 
 
-class DegenerateSplit(HadpermError):
-    """No seeded joint eigenbasis classified within the retry budget."""
-
-
-class RankError(HadpermError):
+class RankError(CriterionFailure):
     """A grid block does not have the required rank."""
 
 
-class IllConditioned(HadpermError):
-    """A numerical routine cannot certify the requested accuracy."""
+class FormatError(UsageError):
+    """Malformed text input (.phm, .pls, .pgrid, or serialized permutations)."""
 
 
-class TooManyUndefined(HadpermError):
-    """More undefined points than the target total permutation can absorb."""
+class LimitExceeded(UsageError):
+    """Requested enumeration, closure, pair scan or array exceeds its limit."""
 
 
-class Unsupported(HadpermError):
-    """Requested parameters are outside the supported range."""
-
-
-class InvalidSquare(HadpermError):
+class InvalidSquare(UsageError):
     """Array is not a valid pre-Latin square."""
 
 
-class DuplicateInRow(InvalidSquare):
-    def __init__(self, row: int):
-        super().__init__(f"duplicate entry in row {row}")
-        self.row = row
+class IllConditioned(NumericalFailure):
+    """A numerical routine cannot certify the requested accuracy."""
 
 
-class DuplicateInColumn(InvalidSquare):
-    def __init__(self, column: int):
-        super().__init__(f"duplicate entry in column {column}")
-        self.column = column
-
-
-class OutOfAlphabet(InvalidSquare):
-    def __init__(self, row: int, column: int):
-        super().__init__(f"entry at ({row},{column}) is outside the alphabet")
-        self.row = row
-        self.column = column
+class DegenerateSplit(NumericalFailure):
+    """No seeded joint eigenbasis classified within the retry budget."""

@@ -34,7 +34,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import FormatError, LimitExceeded, SizeMismatch, TooManyUndefined
+from .errors import FormatError, LimitExceeded, NotCompletable
 
 __all__ = [
     "PartialPermutation",
@@ -142,7 +142,7 @@ def _trusted(image: tuple[int, ...]) -> PartialPermutation:
 def compose(sigma: PartialPermutation, tau: PartialPermutation) -> PartialPermutation:
     """(sigma tau)(j) = sigma(tau(j)) where both applications are defined."""
     if sigma.size != tau.size:
-        raise SizeMismatch(f"sizes differ: {sigma.size} vs {tau.size}")
+        raise ValueError(f"sizes differ: {sigma.size} vs {tau.size}")
     s_img = sigma.image
     return _trusted(tuple([s_img[t - 1] if t else 0 for t in tau.image]))
 
@@ -270,7 +270,7 @@ def generate_semigroup(generators: Iterable[PartialPermutation]) -> Semigroup:
     size = gens[0].size
     for g in gens:
         if g.size != size:
-            raise SizeMismatch(f"generator sizes differ: {g.size} vs {size}")
+            raise ValueError(f"generator sizes differ: {g.size} vs {size}")
     unique_gens = list(dict.fromkeys(gens))
     # padded tuples: step(x) = x[0], x[g(1)], ..., x[g(M)] is the padded x g
     steps = [itemgetter(0, *g.image) for g in unique_gens]
@@ -297,15 +297,19 @@ def embed_total(sigma: PartialPermutation, n: int) -> PartialPermutation:
     Y^c = {y_1 < ... < y_L} (complements inside {1, ..., M}), the extension
     maps x_r -> M + r, M + r -> y_r, and fixes every point above M + L.
     Restricted to points <= M the extension agrees with sigma exactly:
-    sigma'(j) = i iff sigma(j) = i for i, j <= M.
+    sigma'(j) = i iff sigma(j) = i for i, j <= M.  Raises
+    :class:`NotCompletable`, with sigma as witness, when sigma has more than
+    n - M undefined points.
     """
     m = sigma.size
     undefined = [j for j, v in enumerate(sigma.image, start=1) if not v]
     missing = sorted(set(range(1, m + 1)) - set(sigma.image))
     count = len(undefined)
     if m + count > n:
-        raise TooManyUndefined(
-            f"{count} undefined points need ground set of at least {m + count}, got {n}"
+        raise NotCompletable(
+            f"partial permutation {sigma} has {count} undefined values, "
+            f"more than N - M = {n - m}",
+            witness=sigma,
         )
     img = [0] * n
     for j, v in enumerate(sigma.image):

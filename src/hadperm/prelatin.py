@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Sequence
 
 from ._text import read_document
-from .errors import DuplicateInColumn, DuplicateInRow, FormatError, OutOfAlphabet
+from .errors import FormatError, InvalidSquare
 from .pperm import PartialPermutation, Semigroup, generate_semigroup
 
 __all__ = [
@@ -30,8 +30,8 @@ __all__ = [
 class PreLatinSquare:
     """A validated M x M square over {1, ..., alphabet}.
 
-    Construction raises :class:`OutOfAlphabet`, :class:`DuplicateInRow` or
-    :class:`DuplicateInColumn` naming the offending position.
+    Construction raises :class:`InvalidSquare` naming the first offending
+    position: an entry outside the alphabet, or a row or column repeat.
     """
 
     __slots__ = ("size", "alphabet", "entries")
@@ -48,15 +48,15 @@ class PreLatinSquare:
         for i, row in enumerate(rows, start=1):
             for j, v in enumerate(row, start=1):
                 if not 1 <= v <= alphabet:
-                    raise OutOfAlphabet(i, j)
+                    raise InvalidSquare(f"entry at ({i},{j}) is outside the alphabet")
             if len(set(row)) != len(row):
-                raise DuplicateInRow(i)
+                raise InvalidSquare(f"duplicate entry in row {i}")
         if any(len(row) != m for row in rows):
             raise ValueError("entries must form a square array")
         for j in range(m):
             column = [rows[i][j] for i in range(m)]
             if len(set(column)) != m:
-                raise DuplicateInColumn(j + 1)
+                raise InvalidSquare(f"duplicate entry in column {j + 1}")
         self.size = m
         self.alphabet = alphabet
         self.entries = rows

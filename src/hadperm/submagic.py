@@ -42,7 +42,6 @@ from .errors import (
     NotCompletable,
     NotSubmagic,
     RankError,
-    Unsupported,
 )
 from .pperm import PartialPermutation, embed_total
 from .prelatin import PreLatinSquare
@@ -511,26 +510,19 @@ def complete_last(grid: ProjGrid, *, tol: float = DEFAULT_TOL) -> ProjGrid:
 def complete_commuting(grid: ProjGrid, n: int, *, tol: float = DEFAULT_TOL) -> ProjGrid:
     """Complete a commuting submagic M x M grid to a commuting magic N x N grid.
 
-    Each classical point is extended to a total permutation of {1, ..., N};
-    this requires every point to have at most N - M undefined values, and the
-    first offender is reported as the :class:`NotCompletable` witness.  Block
-    (i, j) of the completion sums the eigenprojections of the vectors (of the
-    basis :func:`classical_points` reads) whose extended point maps j to i;
-    the top-left M x M corner is the input grid, bit-exact.
+    Each classical point is extended to a total permutation of {1, ..., N}
+    by :func:`~hadperm.pperm.embed_total`; this requires every point to have
+    at most N - M undefined values, and ``embed_total`` reports the first
+    offender as the :class:`NotCompletable` witness.  Block (i, j) of the
+    completion sums the eigenprojections of the vectors (of the basis
+    :func:`classical_points` reads) whose extended point maps j to i; the
+    top-left M x M corner is the input grid, bit-exact.
     """
     m = grid.size
     if n < m:
         raise ValueError(f"target size {n} smaller than grid size {m}")
-    slack = n - m
     vectors, sigmas = _joint_eigensystem(grid, tol)
     distinct = dict.fromkeys(sigmas)
-    for sigma in distinct:
-        if sigma.defect > slack:
-            raise NotCompletable(
-                f"classical point {sigma} has {sigma.defect} undefined values, "
-                f"more than N - M = {slack}",
-                witness=sigma,
-            )
     rows = {sigma: np.array(embed_total(sigma, n).image) - 1 for sigma in distinct}
     cols = np.arange(n)
     blocks = np.zeros((n, n, grid.dim, grid.dim), dtype=complex)
@@ -627,7 +619,7 @@ def random_grid(m: int, d: int, seed: int) -> ProjGrid:
             r = basis @ random_projection(free, int(rng.integers(0, free + 1)), rng) @ basis.conj().T
             s = basis @ random_projection(free, int(rng.integers(0, free + 1)), rng) @ basis.conj().T
         return _trusted(np.array([[p, r], [s, q]]))
-    raise Unsupported(f"random submagic sampling is only supported for M in {{1, 2}}, got {m}")
+    raise ValueError(f"random submagic sampling is only supported for M in {{1, 2}}, got {m}")
 
 
 # --------------------------------------------------------------------------

@@ -287,15 +287,14 @@ def is_partial_hadamard(h: TorusMatrix, tol: float = DEFAULT_TOL) -> HadamardRep
 
 
 def _require_hadamard(h: TorusMatrix, tol: float) -> None:
-    """Raise :class:`NotHadamard`, carrying the report, unless ``h`` is
-    partial Hadamard at ``tol``."""
+    """Raise :class:`NotHadamard`, naming the worst row pair and modulus
+    error, unless ``h`` is partial Hadamard at ``tol``."""
     report = is_partial_hadamard(h, tol)
     if not report.ok:
         raise NotHadamard(
             f"not partial Hadamard at tol {tol}: worst row pair {report.worst_pair} "
             f"has |<R_i,R_j>| = {report.worst_value:.3e}, worst modulus error "
-            f"{report.worst_modulus_error:.3e}",
-            report=report,
+            f"{report.worst_modulus_error:.3e}"
         )
 
 

@@ -31,7 +31,6 @@ from hadperm.errors import (
     NotHadamard,
     NotSubmagic,
     RankError,
-    Unsupported,
 )
 from hadperm.pperm import PartialPermutation, embed_total, generate_semigroup
 from hadperm.prelatin import semigroup_of
@@ -943,7 +942,7 @@ class TestRandomGrid:
             assert all(z in (0, 1) for z in flat)
 
     def test_unsupported_size(self):
-        with pytest.raises(Unsupported):
+        with pytest.raises(ValueError, match="only supported for M in {1, 2}, got 3"):
             random_grid(3, 4, 0)
 
 
