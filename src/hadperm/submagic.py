@@ -71,6 +71,11 @@ _SVD_BATCH = 128
 # pair scan may take: the grid of F_32 (1.7e10, about 10 s on one core of a
 # 2-core x86 box) passes, that of F_33 (2.1e10) and larger ones are refused.
 _PAIR_SCAN_LIMIT = 2 * 10**10
+# Most bytes, 16 M^2 d^2, of the complex blocks of an M x M grid that
+# grid_from_hadamard or complete_commuting may allocate: the grid of F_50
+# (1e8 bytes, 0.15 s and a 104 MB peak on one core of a 2-core x86 box)
+# passes, that of F_51 and larger ones are refused.
+_GRID_BYTES_LIMIT = 10**8
 
 
 class ProjGrid:
@@ -154,8 +159,10 @@ def grid_from_hadamard(h: TorusMatrix, *, tol: float = DEFAULT_TOL) -> ProjGrid:
     The input is certified partial Hadamard at ``tol`` first; orthogonality of
     the quotients along rows and columns then makes the output submagic.
     Ambient dimension equals the number of columns, and every diagonal block
-    projects onto the all-ones vector.
+    projects onto the all-ones vector.  A grid larger than
+    ``_GRID_BYTES_LIMIT`` is refused with :class:`LimitExceeded` first.
     """
+    _require_grid_fits(h.rows, h.cols)
     _require_hadamard(h, tol)
     a = h.to_complex()
     xi = a[:, None, :] / a[None, :, :]
@@ -248,6 +255,16 @@ def _require_pair_scan_fits(m: int, d: int) -> None:
         raise LimitExceeded(
             f"pair scan of a {m} x {m} grid of {d} x {d} blocks needs {work:.2e} "
             f"multiply-adds, above the limit {_PAIR_SCAN_LIMIT:.2e}"
+        )
+
+
+def _require_grid_fits(m: int, d: int) -> None:
+    """Raise :class:`LimitExceeded` when the blocks of an M x M grid of d x d
+    blocks would take more than ``_GRID_BYTES_LIMIT`` bytes."""
+    if 16 * m * m * d * d > _GRID_BYTES_LIMIT:
+        raise LimitExceeded(
+            f"a {m} x {m} grid of {d} x {d} blocks exceeds the limit of "
+            f"{_GRID_BYTES_LIMIT:.2e} bytes"
         )
 
 
@@ -516,11 +533,13 @@ def complete_commuting(grid: ProjGrid, n: int, *, tol: float = DEFAULT_TOL) -> P
     offender as the :class:`NotCompletable` witness.  Block (i, j) of the
     completion sums the eigenprojections of the vectors (of the basis
     :func:`classical_points` reads) whose extended point maps j to i; the
-    top-left M x M corner is the input grid, bit-exact.
+    top-left M x M corner is the input grid, bit-exact.  A completion larger
+    than ``_GRID_BYTES_LIMIT`` is refused with :class:`LimitExceeded` first.
     """
     m = grid.size
     if n < m:
         raise ValueError(f"target size {n} smaller than grid size {m}")
+    _require_grid_fits(n, grid.dim)
     vectors, sigmas = _joint_eigensystem(grid, tol)
     distinct = dict.fromkeys(sigmas)
     rows = {sigma: np.array(embed_total(sigma, n).image) - 1 for sigma in distinct}

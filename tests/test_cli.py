@@ -1,16 +1,19 @@
 """Command-line interface: subcommands, exit codes, JSON mode, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from _helpers import drop_last_row
-from hadperm import completion, pperm
+from hadperm import completion, errors, pperm, torus
 from hadperm.cli import build_parser, main
+from hadperm.errors import CriterionFailure, HadpermError, NumericalFailure, UsageError
 from hadperm.submagic import (
     ProjGrid,
     check_grid,
@@ -21,13 +24,26 @@ from hadperm.submagic import (
 )
 from hadperm.torus import format_phm, fourier, parse_phm
 
-DATA = Path(__file__).resolve().parent.parent / "data"
+ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "data"
 
 
 def run(capsys, *argv):
     code = main([str(a) for a in argv])
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def run_child(*argv):
+    """``python -m hadperm.cli`` in a child process that imports this
+    checkout's ``src``, as the tests do."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "hadperm.cli", *(str(a) for a in argv)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 class TestCheck:
@@ -210,11 +226,7 @@ class TestCompleteGrid:
         rows = ["(1e+200,0.0) (1e+200,0.0)"] * 8
         path = tmp_path / "huge.pgrid"
         path.write_text("pgrid v1\n2 2\n" + "\n".join(rows) + "\n", encoding="utf-8")
-        proc = subprocess.run(
-            [sys.executable, "-m", "hadperm.cli", "complete-grid", str(path)],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_child("complete-grid", path)
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert len(proc.stderr.splitlines()) == 1
@@ -410,6 +422,83 @@ class TestLargeN:
         assert err == "error: determinant of minor without column 1 is not a finite double\n"
 
 
+class TestOversizedRequests:
+    """Requests past a size limit exit 2 with one error line, refused by
+    their size before the work is allocated."""
+
+    @staticmethod
+    def run_traced(capsys, *argv):
+        tracemalloc.start()
+        try:
+            result = run(capsys, *argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return (*result, peak)
+
+    @pytest.mark.parametrize("argv, message", [
+        (("complete-grid", DATA / "f2.phm", "--target", "100000"),
+         "a 100000 x 100000 grid of 2 x 2 blocks exceeds the limit of 1.00e+08 bytes"),
+        (("fourier", "100000"),
+         "Fourier matrix of orders [100000] exceeds the limit of 1048576 entries"),
+    ])
+    def test_refused_by_size(self, capsys, argv, message):
+        code, out, err, peak = self.run_traced(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert peak < 2**21
+
+    def test_grid_past_the_pair_scan_limit_is_never_built(self, capsys, tmp_path):
+        # the grid of F_40 takes 41 MB; reading F_40 takes well under 2 MB
+        path = tmp_path / "f40.phm"
+        path.write_text(format_phm(fourier([40])), encoding="utf-8")
+        code, out, err, peak = self.run_traced(capsys, "grid", path)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: pair scan of a 40 x 40 grid") and err.count("\n") == 1
+        assert peak < 2**21
+
+    def test_tensor_past_the_entry_limit(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "f8.phm"
+        path.write_text(format_phm(fourier([8])), encoding="utf-8")
+        monkeypatch.setattr(torus, "_ENTRY_LIMIT", 4095)
+        code, out, err = run(capsys, "tensor", path, path)
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: tensor product of a 8 x 8 and a 8 x 8 matrix has 4096 entries, "
+            "above the limit 4095\n"
+        )
+
+
+FAMILY_EXITS = {CriterionFailure: 1, UsageError: 2, NumericalFailure: 3}
+CONCRETE_ERRORS = [
+    getattr(errors, name) for name in errors.__all__
+    if getattr(errors, name) not in (HadpermError, *FAMILY_EXITS)
+]
+BUILTIN_EXITS = {np.linalg.LinAlgError: 3, OverflowError: 3, ValueError: 2, OSError: 2}
+
+
+class TestExitTable:
+    """Every error the program raises ends in its family's exit code."""
+
+    @pytest.mark.parametrize("cls", CONCRETE_ERRORS, ids=lambda cls: cls.__name__)
+    def test_one_family_each(self, cls):
+        assert sum(issubclass(cls, family) for family in FAMILY_EXITS) == 1
+
+    @pytest.mark.parametrize(
+        "cls", CONCRETE_ERRORS + list(BUILTIN_EXITS), ids=lambda cls: cls.__name__
+    )
+    def test_exit_code(self, capsys, monkeypatch, cls):
+        expected = BUILTIN_EXITS.get(cls) or next(
+            code for family, code in FAMILY_EXITS.items() if issubclass(cls, family)
+        )
+
+        def fail(orders):
+            raise cls("refused")
+
+        monkeypatch.setattr(torus, "fourier", fail)
+        code, out, err = run(capsys, "fourier", "2")
+        assert (code, out, err) == (expected, "", "error: refused\n")
+
+
 MUTANT_TOKENS = ("1/0", "nan", "1e309", "(1e308,1e308)")
 MUTATED_COMMANDS = {
     ".phm": ("check", "grid", "complete-row", "complete-grid", "criteria"),
@@ -584,10 +673,6 @@ class TestUsage:
 
 class TestEntryPoint:
     def test_module_invocation(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "hadperm.cli", "count", "3"],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_child("count", "3")
         assert proc.returncode == 0
         assert proc.stdout.strip() == "34"

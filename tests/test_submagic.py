@@ -317,6 +317,50 @@ class TestPairScanLimit:
                 submagic._require_pair_scan_fits(n, n)
 
 
+class TestGridBytesLimit:
+    """Grids past ``_GRID_BYTES_LIMIT`` bytes of blocks are refused before
+    they are built."""
+
+    @pytest.mark.parametrize("n, fits", [(24, True), (40, True), (50, True), (51, False)])
+    def test_fourier_grid_sizes(self, n, fits):
+        if fits:
+            submagic._require_grid_fits(n, n)
+        else:
+            with pytest.raises(LimitExceeded):
+                submagic._require_grid_fits(n, n)
+
+    def test_grid_from_hadamard_at_the_limit(self, monkeypatch):
+        # the grid of F_4 has 16 blocks of 4 x 4 complex entries: 4096 bytes
+        monkeypatch.setattr(submagic, "_GRID_BYTES_LIMIT", 4096)
+        assert grid_from_hadamard(fourier([4])).size == 4
+        monkeypatch.setattr(submagic, "_GRID_BYTES_LIMIT", 4095)
+        with pytest.raises(
+            LimitExceeded,
+            match=r"^a 4 x 4 grid of 4 x 4 blocks exceeds the limit of 4\.10e\+03 bytes$",
+        ):
+            grid_from_hadamard(fourier([4]))
+
+    def test_complete_commuting_at_the_limit(self, monkeypatch):
+        grid = grid_from_hadamard(fourier([2]))
+        # a 4 x 4 grid of 2 x 2 blocks: 1024 bytes
+        monkeypatch.setattr(submagic, "_GRID_BYTES_LIMIT", 1024)
+        assert complete_commuting(grid, 4).size == 4
+        monkeypatch.setattr(submagic, "_GRID_BYTES_LIMIT", 1023)
+        with pytest.raises(LimitExceeded, match="a 4 x 4 grid of 2 x 2 blocks"):
+            complete_commuting(grid, 4)
+
+    def test_complete_commuting_refuses_before_the_eigenbasis(self):
+        grid = grid_from_hadamard(fourier([2]))
+        tracemalloc.start()
+        try:
+            with pytest.raises(LimitExceeded, match="a 100000 x 100000 grid"):
+                complete_commuting(grid, 100000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
+
+
 class TestPairScanMatchesReference:
     """All seven defects and the three flags of check_grid equal the dense
     reference formulas exactly.  The scan forms each pair product once, in

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from _helpers import drop_last_row, exact_randomized_fourier, phases, take_rows
-from hadperm.errors import FormatError, IllConditioned
+from hadperm import torus
+from hadperm.errors import FormatError, IllConditioned, LimitExceeded
 from hadperm.torus import (
     TorusMatrix,
     format_phm,
@@ -210,6 +211,42 @@ class TestFourier:
             fourier([])
         with pytest.raises(ValueError):
             fourier([0])
+
+
+class TestEntryLimit:
+    """Fourier and tensor products past ``_ENTRY_LIMIT`` entries are refused
+    before anything is built."""
+
+    def test_limit_admits_f1024_and_not_f1025(self):
+        assert 1024**2 <= torus._ENTRY_LIMIT < 1025**2
+
+    def test_fourier_at_the_limit(self, monkeypatch):
+        monkeypatch.setattr(torus, "_ENTRY_LIMIT", 36)
+        assert fourier([2, 3]).rows == 6
+        with pytest.raises(
+            LimitExceeded, match=r"^Fourier matrix of orders \[7\] exceeds the limit of 36 entries$"
+        ):
+            fourier([7])
+
+    def test_fourier_refused_before_any_factor(self, monkeypatch):
+        def no_factor(n):
+            raise AssertionError(f"F_{n} was built")
+
+        monkeypatch.setattr(torus, "_fourier_single", no_factor)
+        with pytest.raises(LimitExceeded, match=r"orders \[2, 100000\]"):
+            fourier([2, 100000])
+
+    def test_tensor_at_the_limit(self, monkeypatch):
+        f2, f3 = fourier([2]), fourier([3])
+        monkeypatch.setattr(torus, "_ENTRY_LIMIT", 36)
+        assert tensor(f2, f3) == fourier([2, 3])
+        monkeypatch.setattr(torus, "_ENTRY_LIMIT", 35)
+        with pytest.raises(
+            LimitExceeded,
+            match=r"^tensor product of a 2 x 2 and a 3 x 3 matrix has 36 entries, "
+            r"above the limit 35$",
+        ):
+            tensor(f2, f3)
 
 
 class TestTensor:
