@@ -73,7 +73,7 @@ _SVD_BATCH = 128
 _PAIR_SCAN_LIMIT = 2 * 10**10
 # Most bytes, 16 M^2 d^2, of the complex blocks of an M x M grid that
 # grid_from_hadamard or complete_commuting may allocate: the grid of F_50
-# (1e8 bytes, 0.15 s and a 104 MB peak on one core of a 2-core x86 box)
+# (1e8 bytes, 0.1-0.15 s and a 104 MB peak on one core of a 2-core x86 box)
 # passes, that of F_51 and larger ones are refused.
 _GRID_BYTES_LIMIT = 10**8
 

@@ -53,7 +53,7 @@ CONSTRUCTION_TOL = 1e-6
 _MINOR_BATCH = 2**16
 
 # Most entries that fourier or tensor may build, each a complex value and two
-# exact integers: F_1024 (2^20 entries, 8.6 s and a 171 MB peak on one core
+# exact integers: F_1024 (2^20 entries, 5-9 s and a 171 MB peak on one core
 # of a 2-core x86 box) passes, F_1025 and larger ones are refused.
 _ENTRY_LIMIT = 2**20
 
