@@ -26,9 +26,12 @@ criterion 5) is a numerical cross-check, not a check of two independent
 tests.  So the border corner keeps the reciprocals 1/H and never
 substitutes conj(H) for them.
 
-Every public call computes the N minors once, in one batched pass (one SVD
-call and one determinant call per stack of minors, and one stack for every
-N <= 40), and the tests that need them share that pass.
+Every public call computes the N minors once, in one batched pass (one
+determinant call per stack of minors, and one stack for every N <= 40), and
+the tests that need them share that pass.  The pass certifies each minor's
+conditioning from one eigendecomposition of HH*: the minors of a partial
+Hadamard H have singular values sqrt(N) (N - 2 times) and 1, and only the
+minors that bound cannot clear take an SVD.
 
 Every test is scale-free, so each one reads the cofactor vector at unit
 scale: the completing row ``u = N^(1 - N/2) * Z``, whose entries have modulus

@@ -54,6 +54,11 @@ __all__ = [
 
 DEFAULT_ENUM_LIMIT = 7
 
+# Largest n that count_all counts for: count_all(50_000) takes about 2.2 s
+# and its 213,429 digits 0.7 s more to print (one core of a 2-core x86 box);
+# the time grows about as n^2.2.
+_COUNT_LIMIT = 50_000
+
 
 class PartialPermutation:
     """A partially defined injection on {1, ..., M}.
@@ -161,9 +166,15 @@ def count_all(n: int) -> int:
 
     Computed exactly by the recurrence a(n) = 2n a(n-1) - (n-1)^2 a(n-2)
     from a(0) = 1 (OEIS A002720); the sequence starts 1, 2, 7, 34, 209, ...
+    An n above ``_COUNT_LIMIT`` is refused with :class:`LimitExceeded`.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
+    if n > _COUNT_LIMIT:
+        raise LimitExceeded(
+            f"counting the partial permutations of {n} points exceeds the limit "
+            f"of {_COUNT_LIMIT} points"
+        )
     prev, cur = 0, 1
     for k in range(1, n + 1):
         prev, cur = cur, 2 * k * cur - (k - 1) ** 2 * prev

@@ -504,9 +504,11 @@ def complete_last(grid: ProjGrid, *, tol: float = DEFAULT_TOL) -> ProjGrid:
     :class:`NotCompletable` is raised with the corner's idempotency defect as
     witness.  The input must be submagic and is not certified here (a
     :func:`check_grid` pass costs more than the completion); a grid that is
-    not submagic can give a border that is not magic.
+    not submagic can give a border that is not magic.  A completion larger
+    than ``_GRID_BYTES_LIMIT`` is refused with :class:`LimitExceeded` first.
     """
     m, d = grid.size, grid.dim
+    _require_grid_fits(m + 1, d)
     corner = grid.total_sum() - (m - 1) * np.eye(d)
     defect = spectral_norm(corner @ corner - corner)
     # Written so that NaN fails: a corner that overflowed is not certified.

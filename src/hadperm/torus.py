@@ -52,6 +52,9 @@ CONSTRUCTION_TOL = 1e-6
 # batches, so that the minor pass needs no memory that grows as N^3.
 _MINOR_BATCH = 2**16
 
+# Largest estimated relative error n eps s_max / s_min of a minor determinant.
+_MINOR_REL_TOL = 1e-6
+
 # Most entries that fourier or tensor may build, each a complex value and two
 # exact integers: F_1024 (2^20 entries, 5-9 s and a 171 MB peak on one core
 # of a 2-core x86 box) passes, F_1025 and larger ones are refused.
@@ -340,7 +343,10 @@ def minor_det(h: TorusMatrix, j: int) -> complex:
     the completion tests use: pivoted elimination in double precision, with
     :class:`IllConditioned` raised when the condition-number based estimate
     of the relative error exceeds 1e-6 or the determinant is not a finite
-    double.
+    double.  For a partial Hadamard input every minor has singular values
+    sqrt(N) (N - 2 times) and 1, so its condition number is sqrt(N); the
+    many-column pass certifies that from one eigendecomposition of HH*, but
+    a lone minor takes its SVD, which costs about as much.
     """
     if h.rows != h.cols - 1:
         raise ValueError(
@@ -359,37 +365,105 @@ def _minor_dets(a: np.ndarray, cols: Sequence[int]) -> np.ndarray:
     ``_MINOR_BATCH`` entries, each in its own call so that its stack is freed
     before the next is formed.  Raises :class:`IllConditioned` for the first
     column whose minor is numerically singular, whose estimated relative
-    error ``n eps s_max / s_min`` exceeds 1e-6, or whose determinant is not a
-    finite double (from N = 258 for unit-modulus entries, whose minors have
-    modulus N^(N/2-1)).
+    error ``n eps s_max / s_min`` exceeds ``_MINOR_REL_TOL``, or whose
+    determinant is not a finite double (from N = 258 for unit-modulus
+    entries, whose minors have modulus N^(N/2-1)).
+
+    The minor without column c_j has Gram matrix HH* - c_j c_j*; for a
+    partial Hadamard H that is N I - c_j c_j*, with singular values sqrt(N)
+    (N - 2 times) and 1.  A call of more than one column bounds every
+    minor's singular values from one eigendecomposition of HH*
+    (:func:`_conditioned_columns`), and only the minors it cannot clear take
+    an SVD.
     """
     n = a.shape[0]
     dropped = np.asarray(cols, dtype=np.intp) - 1
+    # the bound costs about one SVD, so a lone minor takes its SVD alone
+    if len(dropped) > 1:
+        cleared = _conditioned_columns(a)[dropped]
+    else:
+        cleared = np.zeros(len(dropped), dtype=bool)
     step = max(1, _MINOR_BATCH // (n * n))
     out = np.empty(len(dropped), dtype=complex)
     for start in range(0, len(dropped), step):
-        out[start : start + step] = _minor_batch(a, dropped[start : start + step])
+        batch = slice(start, start + step)
+        out[batch] = _minor_batch(a, dropped[batch], cleared[batch])
     return out
 
 
-def _minor_batch(a: np.ndarray, dropped: np.ndarray) -> np.ndarray:
-    """One batch of :func:`_minor_dets`, by 0-based dropped columns.
+def _conditioned_columns(a: np.ndarray) -> np.ndarray:
+    """For each column c_j of the (N-1) x N array ``a``, whether the minor
+    without it provably passes the SVD test of :func:`_minor_batch`.
+
+    With G = aa*, the minor's Gram matrix is G - c_j c_j*, so by Weyl's
+    inequality its singular values satisfy s_max^2 <= lambda_max(G) and
+    s_min^2 >= lambda_min(G) - |c_j|^2.  Column j is cleared when, with n =
+    N - 1 and ``slack`` below, lo_j = lambda_min - |c_j|^2 - slack > 0 and
+    n eps sqrt((lambda_max + slack) / lo_j) <= rel_tol / 2.
+
+    ``slack`` bounds every rounding between a and the computed lo_j, each
+    by eps times F = |a|_F^2, which is at least |G|_2 and |c_j|^2:
+    - the entries of G are complex inner products of length N, off by at
+      most (N + 2) eps sum_l |a_il| |a_kl|, so G is off by at most
+      (N + 2) eps F in the 2-norm, and so is the Hermitian matrix that
+      ``eigvalsh`` reads from G's lower triangle;
+    - ``eigvalsh`` is backward stable: its eigenvalues are off by at most
+      about n eps |G|_2 <= n eps F;
+    - each |c_j|^2 sums n squared moduli, off by at most (n + 2) eps F;
+    - forming lo_j and F costs a few more roundings of at most eps F each.
+    That is (N + 2n + 8) eps F, doubled; the last term, N n times the
+    smallest normal double, bounds what underflow adds.
+
+    A cleared minor has s_min >= 2e6 n eps s_max, so LAPACK's singular
+    values, off by a small multiple of n eps s_max, still give an estimate
+    below rel_tol: the factor 2 covers that error.  Nothing is cleared when
+    G or the norms are not finite or ``eigvalsh`` does not converge.
+    """
+    n, m = a.shape
+    eps = float(np.finfo(float).eps)
+    none = np.zeros(m, dtype=bool)
+    with np.errstate(all="ignore"):
+        gram = a @ a.conj().T
+        norms = (a.real**2 + a.imag**2).sum(axis=0)
+        if not (np.isfinite(gram).all() and np.isfinite(norms).all()):
+            return none
+        try:
+            lam = np.linalg.eigvalsh(gram)
+        except np.linalg.LinAlgError:
+            return none
+        frob = norms.sum()
+        slack = 2 * (m + 2 * n + 8) * eps * frob + n * m * float(np.finfo(float).tiny)
+        lo = lam[0] - norms - slack
+        return (lo > 0) & (
+            n * eps * np.sqrt((lam[-1] + slack) / lo) <= _MINOR_REL_TOL / 2
+        )
+
+
+def _minor_batch(a: np.ndarray, dropped: np.ndarray, cleared: np.ndarray) -> np.ndarray:
+    """One batch of :func:`_minor_dets`, by 0-based dropped columns, of which
+    those marked ``cleared`` are known to pass the SVD test.
 
     The minors are gathered by an index array into one (k, n, n) stack that
-    takes one SVD call and one ``det`` call; the gufuncs run LAPACK on every
-    matrix alone, so each value is the one a lone minor gives.
+    takes one ``det`` call, and its uncleared minors one SVD call; the
+    gufuncs run LAPACK on every matrix alone, so each value is the one a
+    lone minor gives.
     """
-    rel_tol = 1e-6
+    rel_tol = _MINOR_REL_TOL
     eps = float(np.finfo(float).eps)
     n = a.shape[0]
     kept = np.arange(n)
     # stack[b, r, c] = a[r, c] left of the dropped column, a[r, c + 1] from it on
     stack = a[kept[:, None], (kept + (kept >= dropped[:, None]))[:, None, :]]
-    s = np.linalg.svd(stack, compute_uv=False)
-    s_max, s_min = s[:, 0], s[:, -1]
-    singular = s_min <= n * eps * s_max
+    singular = np.zeros(len(dropped), dtype=bool)
+    error = np.zeros(len(dropped))
+    checked = ~cleared
+    if checked.any():
+        s = np.linalg.svd(stack if checked.all() else stack[checked], compute_uv=False)
+        s_max, s_min = s[:, 0], s[:, -1]
+        singular[checked] = s_min <= n * eps * s_max
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            error[checked] = n * eps * s_max / s_min
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        error = n * eps * s_max / s_min
         det = np.linalg.det(stack)
     failing = singular | (error > rel_tol) | ~np.isfinite(det)
     if failing.any():

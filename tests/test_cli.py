@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from _helpers import drop_last_row
-from hadperm import completion, errors, pperm, torus
+from hadperm import completion, errors, pperm, submagic, torus
 from hadperm.cli import build_parser, main
 from hadperm.errors import CriterionFailure, HadpermError, NumericalFailure, UsageError
 from hadperm.submagic import (
@@ -455,6 +455,25 @@ class TestOversizedRequests:
         assert (code, out) == (2, "")
         assert err.startswith("error: pair scan of a 40 x 40 grid") and err.count("\n") == 1
         assert peak < 2**21
+
+    def test_border_completion_past_the_grid_limit(self, capsys, monkeypatch):
+        # the grid of F_2 has 4 blocks of 2 x 2 (256 bytes), its border
+        # completion 9 (576 bytes)
+        monkeypatch.setattr(submagic, "_GRID_BYTES_LIMIT", 575)
+        code, out, err = run(capsys, "complete-grid", DATA / "f2.phm")
+        assert (code, out) == (2, "")
+        assert err == "error: a 3 x 3 grid of 2 x 2 blocks exceeds the limit of 5.75e+02 bytes\n"
+        monkeypatch.setattr(submagic, "_GRID_BYTES_LIMIT", 576)
+        assert run(capsys, "complete-grid", DATA / "f2.phm")[0] == 0
+
+    def test_count_past_the_limit(self, capsys):
+        n = pperm._COUNT_LIMIT + 1
+        code, out, err = run(capsys, "count", n)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: counting the partial permutations of {n} points exceeds "
+            f"the limit of {n - 1} points\n"
+        )
 
     def test_tensor_past_the_entry_limit(self, capsys, monkeypatch, tmp_path):
         path = tmp_path / "f8.phm"

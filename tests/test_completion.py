@@ -424,16 +424,104 @@ class TestBatchedMinorsAreExact:
         assert_bit_equal(minors, reference_minors(h))
 
     def test_benchmark_sizes_take_one_batch(self, monkeypatch):
-        calls = []
-        svd = np.linalg.svd
+        # the HH* bound clears every minor of the deleted-row F_24, so the
+        # one stack takes a det call and no SVD
+        calls = {"det": [], "svd": []}
+        for name in calls:
+            def counting(a, *args, _name=name, _call=getattr(np.linalg, name), **kwargs):
+                calls[_name].append(a.shape)
+                return _call(a, *args, **kwargs)
 
-        def counting_svd(a, *args, **kwargs):
-            calls.append(a.shape)
-            return svd(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+            monkeypatch.setattr(np.linalg, name, counting)
         completion._minors(drop_last_row(fourier([24])))
-        assert calls == [(24, 23, 23)]
+        assert calls == {"det": [(24, 23, 23)], "svd": []}
+
+
+def conditioning_pool(seed: int, sizes=(2, 3, 4, 5, 7, 8, 12, 16, 24, 40)):
+    """Raw (N-1) x N arrays for the minors' conditioning bound: each
+    deleted-row F_N with random float phases, its perturbed twin, a Gaussian
+    array, near-equal columns, near-dependent rows, the array scaled by
+    10^150, 10^-150 and 10^200, one column scaled by 10^8 or 10^-8, and one
+    NaN entry."""
+    rng = np.random.default_rng(seed)
+    for n in sizes:
+        a = float_phased_fourier(n, rng).to_complex()
+        i, j = int(rng.integers(n - 1)), int(rng.integers(n))
+        yield a
+        yield perturb(TorusMatrix.from_complex(a), i, j).to_complex()
+        yield rng.standard_normal((n - 1, n)) + 1j * rng.standard_normal((n - 1, n))
+        for angle in (0.0, 1e-11, 1e-7, 1e-3):
+            b = a.copy()
+            b[:, j] = b[:, (j + 1) % n] * np.exp(1j * angle * np.arange(n - 1))
+            yield b
+            if n > 2:
+                b = a.copy()
+                b[i] = b[(i + 1) % (n - 1)] * np.exp(1j * angle * np.arange(n))
+                yield b
+        for scale in (1e150, 1e-150, 1e200):
+            yield scale * a
+        for scale in (1e8, 1e-8):
+            b = a.copy()
+            b[:, j] *= scale
+            yield b
+        b = a.copy()
+        b[i, j] = np.nan
+        yield b
+
+
+def minor_outcome(a: np.ndarray):
+    """The bytes of all minors of ``a``, or the text of the error the pass
+    raises."""
+    try:
+        return torus._minor_dets(a, range(1, a.shape[1] + 1)).tobytes()
+    except (IllConditioned, np.linalg.LinAlgError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def clear_nothing(a: np.ndarray) -> np.ndarray:
+    return np.zeros(a.shape[1], dtype=bool)
+
+
+class TestConditioningBound:
+    """The minors that one eigendecomposition of HH* clears skip the SVD;
+    the pass gives the same minors and the same errors as with the SVD on
+    every minor."""
+
+    def test_same_outcome_as_svd_on_every_minor(self, monkeypatch):
+        pool = list(conditioning_pool(131))
+        got = [minor_outcome(a) for a in pool]
+        monkeypatch.setattr(torus, "_conditioned_columns", clear_nothing)
+        assert got == [minor_outcome(a) for a in pool]
+        assert {type(outcome) for outcome in got} == {bytes, str}
+
+    def test_cleared_minors_pass_the_svd_test(self):
+        eps = float(np.finfo(float).eps)
+        cleared = checked = 0
+        for a in conditioning_pool(137):
+            n = a.shape[0]
+            columns = torus._conditioned_columns(a)
+            cleared += int(columns.sum())
+            checked += columns.size
+            for j in np.flatnonzero(columns):
+                s = np.linalg.svd(np.delete(a, j, axis=1), compute_uv=False)
+                assert n * eps * s[0] / s[-1] <= torus._MINOR_REL_TOL / 2 * (1 + 1e-6)
+        assert 0 < cleared < checked
+
+    def test_partial_hadamard_inputs_are_cleared(self):
+        for h in minor_pool(139):
+            assert torus._conditioned_columns(h.to_complex()).all()
+
+    def test_overflowing_gram_clears_nothing(self):
+        assert not torus._conditioned_columns(1e200 * f3_top2().to_complex()).any()
+
+    def test_eigvalsh_failure_clears_nothing(self, monkeypatch):
+        def fail(a, *args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        h = drop_last_row(fourier([8]))
+        assert not torus._conditioned_columns(h.to_complex()).any()
+        assert_bit_equal(completion._minors(h), reference_minors(h))
 
 
 def close_columns(angle: float) -> TorusMatrix:

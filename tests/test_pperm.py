@@ -166,6 +166,18 @@ class TestCounting:
             )
             assert count_all(n) == expected
 
+    def test_limit_sits_above_every_use(self, monkeypatch):
+        # the CLI test counts 2,000 points, the benchmark 350, a golden 30,
+        # acceptance criterion 2 calls asymptotic_ratio(100)
+        assert pperm._COUNT_LIMIT >= 2000
+        monkeypatch.setattr(pperm, "_COUNT_LIMIT", 6)
+        assert count_all(6) == 13327
+        with pytest.raises(
+            LimitExceeded,
+            match=r"^counting the partial permutations of 7 points exceeds the limit of 6 points$",
+        ):
+            count_all(7)
+
     def test_matches_enumeration(self):
         for n in range(1, 6):
             assert sum(1 for _ in enumerate_all(n)) == count_all(n)
