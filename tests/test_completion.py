@@ -441,8 +441,8 @@ def conditioning_pool(seed: int, sizes=(2, 3, 4, 5, 7, 8, 12, 16, 24, 40)):
     """Raw (N-1) x N arrays for the minors' conditioning bound: each
     deleted-row F_N with random float phases, its perturbed twin, a Gaussian
     array, near-equal columns, near-dependent rows, the array scaled by
-    10^150, 10^-150 and 10^200, one column scaled by 10^8 or 10^-8, and one
-    NaN entry."""
+    10^150, 10^-150 and 10^200, one column scaled by 10^8 and by 10^-8, and
+    one NaN entry."""
     rng = np.random.default_rng(seed)
     for n in sizes:
         a = float_phased_fourier(n, rng).to_complex()
