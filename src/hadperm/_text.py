@@ -7,13 +7,25 @@
 Blank lines are skipped everywhere.  A format fixes the row count and the
 tokens per row from the two sizes; a float token is written ``(a,b)`` for
 a + bi, with both parts in ``repr`` form so that it reads back bit-exactly.
+
+A document of float tokens is read in one pass (:func:`parse_complex_tokens`):
+one shape check over the joined tokens, one ``float`` per part.  Any other
+document, and any document with a bad token, is read token by token, so the
+first bad token in document order is the one named.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
+import numpy as np
+
 from .errors import FormatError
+
+# Every byte except the delimiters of an (a,b) token and the space between
+# two tokens, so that deleting them leaves a document's delimiter skeleton.
+_NOT_DELIMITER = bytes(sorted(set(range(256)) - set(b"(,) ")))
+_DELIMITERS_TO_SPACES = str.maketrans("(,)", "   ")
 
 
 def read_document(
@@ -55,6 +67,36 @@ def parse_complex(token: str) -> complex:
         return complex(float(re_part), float(im_part))
     except ValueError as exc:
         raise FormatError(f"bad complex token {token!r}") from exc
+
+
+def parse_complex_tokens(tokens: list[str]) -> np.ndarray | None:
+    """The values of whitespace-free ``(a,b)`` tokens as one complex array,
+    or None when some token is not of that form with two float parts, or
+    the tokens are not all ASCII.
+
+    On None the caller reads the tokens one by one, which names the first
+    bad token.  Otherwise every token is ``(`` a ``,`` b ``)`` with a and b
+    nonempty and free of delimiters: the delimiter skeleton of the joined
+    tokens is ``(,)`` once per token, every token starts with ``(`` and
+    ends with ``)`` (the k - 1 separating spaces all sit in ``) (``), and
+    the parts number 2k.  Each part then goes through ``float`` as in
+    :func:`parse_complex`, so the values are bit-identical to it.
+    """
+    k = len(tokens)
+    joined = " ".join(tokens)
+    if not (joined.startswith("(") and joined.endswith(")") and joined.isascii()):
+        return None
+    raw = joined.encode()
+    skeleton = raw.translate(None, _NOT_DELIMITER)
+    if skeleton != b"(,) " * (k - 1) + b"(,)" or raw.count(b") (") != k - 1:
+        return None
+    parts = joined.translate(_DELIMITERS_TO_SPACES).split()
+    if len(parts) != 2 * k:
+        return None
+    try:
+        return np.array(list(map(float, parts))).view(complex)
+    except ValueError:
+        return None
 
 
 def format_complex(z: complex) -> str:

@@ -33,7 +33,7 @@ from ._linalg import (
     spectral_norm,
     spectral_norms,
 )
-from ._text import format_complex, parse_complex, read_document
+from ._text import format_complex, parse_complex, parse_complex_tokens, read_document
 from .errors import (
     DegenerateSplit,
     FormatError,
@@ -76,6 +76,9 @@ _PAIR_SCAN_LIMIT = 2 * 10**10
 # (1e8 bytes, 0.1-0.15 s and a 104 MB peak on one core of a 2-core x86 box)
 # passes, that of F_51 and larger ones are refused.
 _GRID_BYTES_LIMIT = 10**8
+# Smallest modulus of a nonzero row-quotient component at which the rank-one
+# blocks are scaled by a product instead of a division (_rank_one_blocks).
+_PRODUCT_SCALE_MIN = 2.0**-200
 
 
 class ProjGrid:
@@ -161,14 +164,48 @@ def grid_from_hadamard(h: TorusMatrix, *, tol: float = DEFAULT_TOL) -> ProjGrid:
     Ambient dimension equals the number of columns, and every diagonal block
     projects onto the all-ones vector.  A grid larger than
     ``_GRID_BYTES_LIMIT`` is refused with :class:`LimitExceeded` first.
+
+    The blocks are ``xi ⊗ conj(xi) / N`` bit for bit, but scaled by one
+    complex product per entry instead of numpy's division where that gives
+    the same bits (:func:`_rank_one_blocks`).
     """
     _require_grid_fits(h.rows, h.cols)
     _require_hadamard(h, tol)
-    a = h.to_complex()
+    return _trusted(_rank_one_blocks(h.to_complex()))
+
+
+def _rank_one_blocks(a: np.ndarray) -> np.ndarray:
+    """The blocks ``xi ⊗ conj(xi) / N`` of the row quotients xi = a_i / a_j of
+    the finite M x N array ``a``, bit for bit as numpy computes them.
+
+    numpy divides by the real N as by N + 0i with Smith's rule, giving
+    ((re + im*0)*s, (im - re*0)*s) with s = fl(1/N): two real divisions'
+    worth of work per entry.  Multiplying by s - 0i gives
+    (re*s - im*(-0), re*(-0) + im*s).  Where re*s != 0 both real parts are
+    re*s, since adding a zero leaves a nonzero unchanged; where re = +-0 both
+    are the zero whose sign bit is set iff re = -0 and im's sign bit is set.
+    The imaginary parts agree in the same way (-0 iff im = -0 and re's sign
+    bit is clear).  So the two differ only where a nonzero component c has
+    c*s round to zero.
+
+    That cannot happen when every nonzero component of xi has modulus at
+    least ``_PRODUCT_SCALE_MIN`` = 2^-200.  Each such component is a multiple
+    of its ulp, at least 2^-252; so each exact product of two of them is a
+    multiple of 2^-504, and so is each rounded product (a normal double of
+    modulus at least 2^-400) and each exact sum of two, fused or not.  A
+    nonzero block component c therefore has |c| >= 2^-504, and |c*s| >=
+    2^-504 / N lies far above the 2^-1075 below which it rounds to zero.
+    Where some component is smaller the blocks are divided as before.
+    """
     xi = a[:, None, :] / a[None, :, :]
     blocks = xi[..., :, None] * xi.conj()[..., None, :]
-    blocks /= a.shape[1]
-    return _trusted(blocks)
+    n = a.shape[1]
+    parts = np.abs(xi.view(float))
+    if ((parts > 0) & (parts < _PRODUCT_SCALE_MIN)).any():
+        blocks /= n
+    else:
+        blocks *= complex(1.0 / n, -0.0)
+    return blocks
 
 
 def check_grid(grid: ProjGrid, tol: float = DEFAULT_TOL) -> GridReport:
@@ -654,7 +691,9 @@ def random_grid(m: int, d: int, seed: int) -> ProjGrid:
 def parse_pgrid(text: str) -> ProjGrid:
     m, d, rows = read_document(text, "pgrid", lambda m, d: (m * m * d, d))
     tokens = [tok for row in rows for tok in row]
-    values = np.array([parse_complex(tok) for tok in tokens], dtype=complex)
+    values = parse_complex_tokens(tokens)
+    if values is None:  # a bad token to name, or one outside ASCII
+        values = np.array([parse_complex(tok) for tok in tokens], dtype=complex)
     finite = np.isfinite(values)
     if not finite.all():
         token = tokens[int(np.argmin(finite))]

@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from ._linalg import DEFAULT_TOL
-from ._text import format_complex, parse_complex, read_document
+from ._text import format_complex, parse_complex, parse_complex_tokens, read_document
 from .errors import FormatError, IllConditioned, LimitExceeded, NotHadamard
 
 __all__ = [
@@ -494,12 +494,20 @@ def _minor_batch(a: np.ndarray, dropped: np.ndarray, cleared: np.ndarray) -> np.
 def parse_phm(text: str) -> TorusMatrix:
     text = "\n".join(ln for ln in text.splitlines() if not ln.lstrip().startswith("#"))
     m, n, rows = read_document(text, "phm", lambda m, n: (m, n))
-    nums, dens, values = zip(*(_parse_token(tok) for row in rows for tok in row))
-    values = np.array(values, dtype=complex).reshape(m, n)
+    tokens = [tok for row in rows for tok in row]
+    values = parse_complex_tokens(tokens)
+    per_token = values is None  # exact tokens, or a bad one to name
+    if per_token:
+        nums, dens, values = zip(*map(_parse_token, tokens))
+        values = np.array(values, dtype=complex)
+    values = values.reshape(m, n)
     try:
         _check_unit(values)
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
+    if not per_token:
+        zeros = np.zeros((m, n), dtype=object)
+        return _trusted(values, zeros, zeros)
     return _build(
         np.array(nums, dtype=object).reshape(m, n),
         np.array(dens, dtype=object).reshape(m, n),

@@ -158,6 +158,89 @@ class TestGridFromHadamard:
         assert np.array_equal(grid_from_hadamard(h).blocks, reference)
 
 
+def divided_blocks(a):
+    """The rank-one blocks xi ⊗ conj(xi) / N as numpy's complex division by
+    N gives them."""
+    xi = a[:, None, :] / a[None, :, :]
+    return xi[..., :, None] * xi.conj()[..., None, :] / a.shape[1]
+
+
+def deleted_row_pool(seed):
+    """(N-1) x N deleted-row Fourier arrays with random row and column phases,
+    N = 3..30, each followed by its twin with one entry turned by 0.2 rad."""
+    rng = np.random.default_rng(seed)
+    for n in range(3, 31):
+        rows = np.exp(2j * np.pi * rng.random(n - 1))[:, None]
+        cols = np.exp(2j * np.pi * rng.random(n))
+        a = rows * fourier([n]).to_complex()[1:] * cols
+        yield a
+        twin = a.copy()
+        twin[rng.integers(n - 1), rng.integers(n)] *= np.exp(0.2j)
+        yield twin
+
+
+def signed_zero_arrays(seed, count=200):
+    """Random M x N arrays in which about a fifth of the real and of the
+    imaginary parts are +0.0 or -0.0 (no entry is zero in both)."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        shape = tuple(int(k) for k in rng.integers(1, 6, size=2))
+        parts = rng.normal(size=(2, *shape))
+        zeros = rng.choice([0.0, -0.0], size=parts.shape)
+        parts = np.where(rng.random(parts.shape) < 0.2, zeros, parts)
+        both = (parts[0] == 0) & (parts[1] == 0)
+        parts[0][both] = 1.0
+        yield parts[0] + 1j * parts[1]
+
+
+class TestRankOneScaling:
+    """The grid is scaled by s - 0i with s = 1/N instead of divided by N,
+    and must keep numpy's division bits, signed zeros included."""
+
+    def test_shipped_inputs(self):
+        for path in sorted(DATA.glob("*.phm")):
+            a = read_phm(path).to_complex()
+            assert submagic._rank_one_blocks(a).tobytes() == divided_blocks(a).tobytes(), path
+
+    def test_deleted_row_fourier_and_twins(self):
+        for a in deleted_row_pool(seed=61):
+            assert submagic._rank_one_blocks(a).tobytes() == divided_blocks(a).tobytes()
+
+    @pytest.mark.parametrize("n", range(1, 33))
+    def test_fourier_grids(self, n):
+        h = fourier([n])
+        assert grid_from_hadamard(h).blocks.tobytes() == divided_blocks(h.to_complex()).tobytes()
+
+    def test_tensor_products(self):
+        for orders in ((2, 3), (4, 4), (2, 2, 3), (3, 5)):
+            h = tensor(fourier([orders[0]]), fourier(list(orders[1:])))
+            assert grid_from_hadamard(h).blocks.tobytes() == divided_blocks(h.to_complex()).tobytes()
+
+    def test_arrays_rich_in_signed_zeros(self):
+        for a in signed_zero_arrays(seed=67):
+            assert submagic._rank_one_blocks(a).tobytes() == divided_blocks(a).tobytes()
+
+    @pytest.mark.parametrize("tiny", [1e-300, -1e-300, 5e-324, -5e-324])
+    def test_tiny_components_take_the_division(self, tiny):
+        a = np.array([[1, 1], [1, complex(-1, tiny)]])
+        assert submagic._rank_one_blocks(a).tobytes() == divided_blocks(a).tobytes()
+
+    def test_the_guard_is_needed(self):
+        # (-1 - 5e-324 i) / 2 has imaginary part -0.0; times (1/2 - 0i) it is +0.0
+        a = np.array([[1, 1], [1, complex(-1, -5e-324)]])
+        xi = a[:, None, :] / a[None, :, :]
+        product = xi[..., :, None] * xi.conj()[..., None, :] * complex(0.5, -0.0)
+        assert product.tobytes() != divided_blocks(a).tobytes()
+        assert submagic._rank_one_blocks(a).tobytes() == divided_blocks(a).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 24, 50])
+    def test_numpy_division_by_n_is_the_product(self, n):
+        # every sign pattern of zero parts, against nonzero and zero partners
+        parts = [0.0, -0.0, 1.5, -1.5]
+        z = np.array([complex(re, im) for re in parts for im in parts])
+        assert (z / n).tobytes() == (z * complex(1.0 / n, -0.0)).tobytes()
+
+
 class TestProjGridOwnership:
     def test_constructor_copies_outside_input(self):
         arr = np.zeros((1, 1, 2, 2), dtype=complex)

@@ -462,6 +462,36 @@ class TestPhmFormat:
         with pytest.raises(FormatError, match="not unit modulus"):
             parse_phm(f"phm v1\n1 2\n1 {tok}\n")
 
+    def test_float_document_equals_per_token_reference(self):
+        # unit entries with signed zeros, a subnormal part, an underscore
+        # and exponent spellings, then a random deleted-row Fourier matrix
+        edge = ("(1.0,-0.0) (-0.0,1.0) (-1.0,-0.0) (-0.0,-1.0) (1.0,5e-324) "
+                "(-5e-324,-1.0) (1_0e-1,0.0) (1E0,-0E5)")
+        rng = np.random.default_rng(73)
+        a = fourier([9]).to_complex()[1:] * np.exp(2j * np.pi * rng.random(9))
+        for text in (f"phm v1\n1 8\n{edge}\n", format_phm(TorusMatrix.from_complex(a))):
+            tokens = text.split()[4:]
+            reference = np.array([torus._parse_token(tok)[2] for tok in tokens])
+            h = parse_phm(text)
+            assert h.to_complex().tobytes() == reference.tobytes()
+            assert not h.is_exact
+            assert h == TorusMatrix.from_complex(reference.reshape(h.rows, h.cols))
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("1/0 (a,b)", "denominator must be positive in '1/0'"),
+            ("(a,b) 1/0", "bad complex token '(a,b)'"),
+            ("x (1,2", "unrecognized scalar token 'x'"),
+            ("(1,2 x", "expected an '(a,b)' token, got '(1,2'"),
+            ("(1.0,0.0) 1/-2", "unrecognized scalar token '1/-2'"),
+        ],
+    )
+    def test_first_bad_token_is_named(self, row, message):
+        with pytest.raises(FormatError) as info:
+            parse_phm(f"phm v1\n1 2\n{row}\n")
+        assert str(info.value) == message
+
     @pytest.mark.parametrize(
         "name", ["f2", "f3", "f4", "f5", "f6", "f3_top2", "m2_family", "not_orthogonal"]
     )
