@@ -26,9 +26,9 @@ criterion 5) is a numerical cross-check, not a check of two independent
 tests.  So the border corner keeps the reciprocals 1/H and never
 substitutes conj(H) for them.
 
-Every public call computes the N minors once, in one batched pass (one
+The N minors are computed once per matrix, in one batched pass (one
 determinant call per stack of minors, and one stack for every N <= 40), and
-the tests that need them share that pass.  The pass certifies each minor's
+every test of that matrix reads them.  The pass certifies each minor's
 conditioning from one eigendecomposition of HH*: the minors of a partial
 Hadamard H have singular values sqrt(N) (N - 2 times) and 1, and only the
 minors that bound cannot clear take an SVD.
@@ -123,9 +123,21 @@ def _require_shape(h: TorusMatrix) -> int:
 
 
 def _minors(h: TorusMatrix) -> np.ndarray:
-    """All minor determinants det H^(j), j = 1..N."""
-    n = _require_shape(h)
-    return torus._minor_dets(h.to_complex(), range(1, n + 1))
+    """All minor determinants det H^(j), j = 1..N, as a read-only array.
+
+    The first call stores them on ``h`` and later calls return them: a
+    :class:`TorusMatrix` is immutable and its minors do not depend on tol.
+    A call that raises stores nothing, so the next call raises again.  Two
+    threads that fill the slot at once each compute the minors, and store
+    equal values.
+    """
+    minors = h._minors
+    if minors is None:
+        n = _require_shape(h)
+        minors = torus._minor_dets(h.to_complex(), range(1, n + 1))
+        minors.setflags(write=False)
+        h._minors = minors
+    return minors
 
 
 def _cofactors(minors: np.ndarray) -> np.ndarray:
@@ -133,11 +145,11 @@ def _cofactors(minors: np.ndarray) -> np.ndarray:
     return (-1.0) ** np.arange(1, len(minors) + 1) * minors.conj()
 
 
-def _kernel(h: TorusMatrix, minors: np.ndarray, tol: float) -> np.ndarray:
+def _kernel(h: TorusMatrix, tol: float) -> np.ndarray:
     """The completing row ``u = N^(1-N/2) * Z``, checked against every row
     but without the partial Hadamard precondition check."""
     n = h.cols
-    u = n ** (1.0 - n / 2.0) * _cofactors(minors)
+    u = n ** (1.0 - n / 2.0) * _cofactors(_minors(h))
     # The cofactor identity makes <R_i, Z> an N x N determinant with a
     # repeated row, hence zero; deviations beyond rounding mean the minor
     # determinants themselves are unreliable.  Written so that NaN fails.
@@ -159,9 +171,8 @@ def kernel_vector(h: TorusMatrix, *, tol: float = DEFAULT_TOL) -> np.ndarray:
     row ``N^(1-N/2) * Z``.
     """
     torus._require_hadamard(h, tol)
-    minors = _minors(h)
-    _kernel(h, minors, tol)
-    return _cofactors(minors)
+    _kernel(h, tol)
+    return _cofactors(_minors(h))
 
 
 def modulus_profile(h: TorusMatrix, tol: float = DEFAULT_TOL) -> ModulusProfile:
@@ -171,12 +182,8 @@ def modulus_profile(h: TorusMatrix, tol: float = DEFAULT_TOL) -> ModulusProfile:
     pins the common value at N^(N/2-1).  Both compare the unit moduli
     |det H^(j)| * N^(1-N/2) at ``tol``.
     """
-    return _profile(_minors(h), tol)
-
-
-def _profile(minors: np.ndarray, tol: float) -> ModulusProfile:
-    n = len(minors)
-    moduli = np.abs(minors)
+    moduli = np.abs(_minors(h))
+    n = len(moduli)
     unit = moduli * n ** (1.0 - n / 2.0)
     return ModulusProfile(
         moduli=tuple(float(v) for v in moduli),
@@ -193,13 +200,12 @@ def complete_row(h: TorusMatrix, *, tol: float = DEFAULT_TOL) -> TorusMatrix:
     :class:`NotCompletable` witness otherwise.  Existing rows are preserved
     bit-exactly; the appended row is float, so the result is a float matrix.
     """
-    minors = _minors(h)
-    profile = _profile(minors, tol)
+    profile = modulus_profile(h, tol)
     if not profile.constant:
         raise NotCompletable(
             f"minor moduli are not constant: {profile.moduli}", witness=profile
         )
-    row = _kernel(h, minors, tol)
+    row = _kernel(h, tol)
     try:
         return torus._stack(h, row[None, :])
     except ValueError as exc:
@@ -230,22 +236,18 @@ def weighted_criterion(h: TorusMatrix, tol: float = DEFAULT_TOL) -> WeightedResu
     completing row u, and passes when ``||H D' H* - c'|| <= tol * c'``.
     Equivalent to completability of the associated grid, like the Gram test.
     """
-    return _weighted(h, _minors(h), tol)
-
-
-def _weighted(h: TorusMatrix, minors: np.ndarray, tol: float) -> WeightedResult:
-    weights = np.abs(_kernel(h, minors, tol)) ** 2
+    weights = np.abs(_kernel(h, tol)) ** 2
     mass = float(weights.sum())
     a = h.to_complex()
     norm = spectral_norm((a * weights) @ a.conj().T - mass * np.eye(h.rows))
     with np.errstate(over="ignore"):
-        c = float((np.abs(minors) ** 2).sum())
+        c = float((np.abs(_minors(h)) ** 2).sum())
     return WeightedResult(passes=bool(norm <= tol * mass), c=c, deviation=norm / mass)
 
 
 def criteria(h: TorusMatrix, tol: float = DEFAULT_TOL) -> CriteriaReport:
     """Run the modulus, Gram, weighted and border-completion tests on one
-    (N-1) x N matrix, computing its minors once.
+    (N-1) x N matrix.
 
     The input is certified partial Hadamard at the loose ``max(tol, 0.1)``,
     the level at which its grid would be built, so that perturbed (not quite
@@ -258,10 +260,9 @@ def criteria(h: TorusMatrix, tol: float = DEFAULT_TOL) -> CriteriaReport:
     ``(A^T conj(A)) o (B^T conj(B)) / N`` with ``B = 1/A`` entrywise.
     Errors surface in the order minors, Gram, kernel residual, certification.
     """
-    minors = _minors(h)
-    profile = _profile(minors, tol)
+    profile = modulus_profile(h, tol)
     gram = gram_criterion(h, tol)
-    weighted = _weighted(h, minors, tol)
+    weighted = weighted_criterion(h, tol)
     torus._require_hadamard(h, max(tol, 0.1))
     a = h.to_complex()
     b = 1.0 / a

@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._linalg import DEFAULT_TOL
+from ._linalg import DEFAULT_TOL, one_blas_thread
 from ._text import format_complex, parse_complex, parse_complex_tokens, read_document
 from .errors import FormatError, IllConditioned, LimitExceeded, NotHadamard
 
@@ -87,7 +87,7 @@ class TorusMatrix:
     :meth:`from_complex` or :func:`parse_phm`.
     """
 
-    __slots__ = ("rows", "cols", "_array", "_num", "_den")
+    __slots__ = ("rows", "cols", "_array", "_num", "_den", "_minors")
 
     def __init__(self, *args, **kwargs):
         raise TypeError(
@@ -162,6 +162,7 @@ def _trusted(values: np.ndarray, num: np.ndarray, den: np.ndarray) -> TorusMatri
         arr.setflags(write=False)
     h.rows, h.cols = values.shape
     h._array, h._num, h._den = values, num, den
+    h._minors = None  # filled by completion._minors
     return h
 
 
@@ -446,7 +447,9 @@ def _minor_batch(a: np.ndarray, dropped: np.ndarray, cleared: np.ndarray) -> np.
     The minors are gathered by an index array into one (k, n, n) stack that
     takes one ``det`` call, and its uncleared minors one SVD call; the
     gufuncs run LAPACK on every matrix alone, so each value is the one a
-    lone minor gives.
+    lone minor gives.  The ``det`` call runs on one BLAS thread
+    (:func:`~hadperm._linalg.one_blas_thread`): from N = 128 its last bits
+    would otherwise depend on the thread count.
     """
     rel_tol = _MINOR_REL_TOL
     eps = float(np.finfo(float).eps)
@@ -463,7 +466,7 @@ def _minor_batch(a: np.ndarray, dropped: np.ndarray, cleared: np.ndarray) -> np.
         singular[checked] = s_min <= n * eps * s_max
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             error[checked] = n * eps * s_max / s_min
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"), one_blas_thread():
         det = np.linalg.det(stack)
     failing = singular | (error > rel_tol) | ~np.isfinite(det)
     if failing.any():

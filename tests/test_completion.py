@@ -3,6 +3,10 @@ modulus profile, explicit row completion, and the two grid criteria."""
 
 import ast
 import math
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -16,8 +20,8 @@ from _helpers import (
     reference_minors,
     take_rows,
 )
-from hadperm import completion, submagic, torus
-from hadperm._linalg import spectral_norm
+from hadperm import _linalg, completion, submagic, torus
+from hadperm._linalg import one_blas_thread, spectral_norm
 from hadperm.completion import (
     complete_row,
     criteria,
@@ -342,6 +346,8 @@ class TestCriteria:
 
 
 class TestMinorsOncePerCall:
+    """Each matrix takes its minors once, shared by every completion test."""
+
     @pytest.fixture
     def counted(self, monkeypatch):
         calls = []
@@ -363,6 +369,43 @@ class TestMinorsOncePerCall:
     def test_criteria_takes_n_minors(self, counted, n):
         assert all(criteria(drop_last_row(fourier([n]))).votes.values())
         assert counted == [list(range(1, n + 1))]
+
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    def test_every_test_of_one_matrix_shares_one_pass(self, counted, n):
+        h = drop_last_row(fourier([n]))
+        assert modulus_profile(h).constant
+        assert gram_criterion(h)
+        assert weighted_criterion(h).passes
+        kernel_vector(h)
+        complete_row(h)
+        assert all(criteria(h).votes.values())
+        assert counted == [list(range(1, n + 1))]
+
+    def test_an_equal_matrix_takes_its_own_pass(self, counted):
+        h, g = drop_last_row(fourier([5])), drop_last_row(fourier([5]))
+        assert h == g and h is not g
+        modulus_profile(h)
+        modulus_profile(g)
+        assert len(counted) == 2
+
+    def test_a_failing_pass_stores_nothing(self, counted):
+        h = TorusMatrix.from_complex(np.array([[1, 1, 1], [1, 1, -1]], dtype=complex))
+        texts = []
+        for _ in range(2):
+            with pytest.raises(IllConditioned, match="without column 3 is numerically singular") as info:
+                criteria(h)
+            texts.append(str(info.value))
+        assert texts[0] == texts[1]
+        assert len(counted) == 2
+
+    def test_stored_minors_are_read_only(self):
+        h = drop_last_row(fourier([5]))
+        moduli = modulus_profile(h).moduli
+        with pytest.raises(ValueError, match="read-only"):
+            h._minors[0] = 0
+        z = kernel_vector(h)
+        z[:] = 0
+        assert modulus_profile(h).moduli == moduli
 
 
 def float_phased_fourier(n: int, rng: np.random.Generator) -> TorusMatrix:
@@ -394,8 +437,11 @@ def assert_bit_equal(got, want):
 
 class TestBatchedMinorsAreExact:
     def test_pool_equals_per_column_reference(self):
+        # the second call reads the minors the first one stored
         for h in (ones_row(), *minor_pool(109)):
-            assert_bit_equal(completion._minors(h), reference_minors(h))
+            want = reference_minors(h)
+            assert_bit_equal(completion._minors(h), want)
+            assert_bit_equal(completion._minors(h), want)
 
     def test_minor_det_equals_reference(self):
         for h in minor_pool(113, sizes=(2, 3, 7, 16, 24)):
@@ -435,6 +481,91 @@ class TestBatchedMinorsAreExact:
             monkeypatch.setattr(np.linalg, name, counting)
         completion._minors(drop_last_row(fourier([24])))
         assert calls == {"det": [(24, 23, 23)], "svd": []}
+
+
+F128_DIGEST = (
+    "import hashlib; from hadperm import completion; "
+    "from hadperm.torus import TorusMatrix, fourier; "
+    "h = TorusMatrix.from_complex(fourier([128]).to_complex()[:-1]); "
+    "print(hashlib.sha256(completion._minors(h).tobytes()).hexdigest())"
+)
+
+
+class TestMinorsAtEveryThreadCount:
+    def test_f128_minors_at_one_and_two_threads(self):
+        # unpinned, the deleted-row F_128 takes other last bits at two
+        # OpenBLAS threads than at one
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        children = [
+            subprocess.Popen(
+                [sys.executable, "-c", F128_DIGEST],
+                stdout=subprocess.PIPE,
+                text=True,
+                env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads},
+            )
+            for threads in ("1", "2")
+        ]
+        digests = [child.communicate(timeout=120)[0] for child in children]
+        assert [child.returncode for child in children] == [0, 0]
+        assert digests[0] == digests[1] != ""
+
+    @pytest.fixture
+    def two_threads(self):
+        threads = _linalg._openblas_threads()
+        if threads is None:
+            pytest.skip("numpy bundles no OpenBLAS here")
+        get, set_ = threads
+        before = get()
+        set_(2)
+        yield get
+        set_(before)
+
+    def test_restores_the_thread_count(self, two_threads):
+        with one_blas_thread():
+            with one_blas_thread():
+                assert two_threads() == 1
+            assert two_threads() == 1
+        assert two_threads() == 2
+
+    def test_threads_share_the_pin_and_the_minors(self, two_threads):
+        # every thread reads one thread inside its block, the count comes
+        # back after the last one, and a matrix filled from several threads
+        # keeps the reference minors
+        pool = list(minor_pool(137, sizes=(5, 9)))
+        seen, minors = [], []
+        start = threading.Barrier(4, timeout=60)
+
+        def work():
+            start.wait()
+            for h in pool * 8:
+                with one_blas_thread():
+                    minors.append((h, completion._minors(h)))
+                    seen.append(two_threads())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work) for _ in range(4)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert seen == [1] * 32 * len(pool)
+        assert two_threads() == 2
+        assert len(minors) == 32 * len(pool)
+        for h, got in minors:
+            assert_bit_equal(got, reference_minors(h))
+
+    def test_missing_symbol_leaves_minors_working(self, monkeypatch):
+        monkeypatch.setattr(_linalg.ctypes, "CDLL", lambda path: object())
+        assert _linalg._openblas_threads.__wrapped__() is None
+        monkeypatch.setattr(_linalg, "_openblas_threads", lambda: None)
+        for h in minor_pool(131, sizes=(2, 7, 16)):
+            assert_bit_equal(completion._minors(h), reference_minors(h))
 
 
 def conditioning_pool(seed: int, sizes=(2, 3, 4, 5, 7, 8, 12, 16, 24, 40)):
