@@ -7,15 +7,21 @@ holds; 1 criterion fails or not completable (:class:`CriterionFailure`);
 ``ValueError``, ``OSError``); 3 numerical failure (:class:`NumericalFailure`,
 ``LinAlgError``, ``ArithmeticError``).  Errors print one ``error:`` line to
 stderr.  Reports are plain ``key: value`` lines, or one JSON object with
-``--json``; identical arguments produce byte-identical output.
+``--json``; identical arguments produce byte-identical output.  Each
+command runs on one thread of the OpenBLAS that numpy bundles, so that
+output does not depend on the BLAS thread count either.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import json
 import math
 import sys
+from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 
@@ -44,16 +50,6 @@ def _emit(args, report: dict, text_lines: list[str]) -> None:
 
 def _flag(value: bool) -> str:
     return "true" if value else "false"
-
-
-def _load_grid(path: str, tol: float) -> submagic.ProjGrid:
-    """The grid of a .phm file (submagic by construction), or a .pgrid file
-    certified submagic at ``tol``, since ``complete_last`` trusts its input."""
-    if path.endswith(".pgrid"):
-        grid = submagic.read_pgrid(path)
-        submagic._require_submagic(grid, tol)
-        return grid
-    return submagic.grid_from_hadamard(torus.read_phm(path), tol=tol)
 
 
 def _cmd_check(args) -> int:
@@ -129,14 +125,24 @@ def _cmd_complete_row(args) -> int:
 
 
 def _cmd_complete_grid(args) -> int:
-    grid = _load_grid(args.input, args.tol)
+    # the grid of a .phm file is submagic by construction; a .pgrid file is
+    # certified before complete_last and complete_commuting, which trust
+    # their input, while complete_2x2_to_4x4 certifies its own
+    pgrid = args.input.endswith(".pgrid")
+    if pgrid:
+        grid = submagic.read_pgrid(args.input)
+    else:
+        grid = submagic.grid_from_hadamard(torus.read_phm(args.input), tol=args.tol)
     target = args.target if args.target is not None else grid.size + 1
-    if target == grid.size + 1:
-        full = submagic.complete_last(grid, tol=args.tol)
-    elif grid.size == 2 and target == 4:
+    if grid.size == 2 and target == 4:
         full = submagic.complete_2x2_to_4x4(grid, tol=args.tol)
     else:
-        full = submagic.complete_commuting(grid, target, tol=args.tol)
+        if pgrid:
+            submagic._require_submagic(grid, args.tol)
+        if target == grid.size + 1:
+            full = submagic.complete_last(grid, tol=args.tol)
+        else:
+            full = submagic.complete_commuting(grid, target, tol=args.tol)
     text = submagic.format_pgrid(full)
     _emit(args, {"completed": text}, [text.rstrip("\n")])
     return EXIT_OK
@@ -352,13 +358,54 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _openblas_threads():
+    """The (get, set) thread-count functions of the OpenBLAS that numpy
+    bundles, or None for another BLAS build; looked up on the first call."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            get = lib.scipy_openblas_get_num_threads64_
+            set_ = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.restype, get.argtypes = ctypes.c_int, []
+        set_.restype, set_.argtypes = None, [ctypes.c_int]
+        return get, set_
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block on one BLAS thread and restore the count after it, so
+    that LAPACK results (from N = 128, the minors' last bits) do not depend
+    on the count the process was started with.
+
+    The setting is process-wide and the block keeps no count of open
+    blocks: it is meant for one command at a time.  Where numpy's bundled
+    OpenBLAS is not found, the block runs unchanged.
+    """
+    threads = _openblas_threads()
+    if threads is None:
+        yield
+        return
+    get, set_ = threads
+    saved = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(saved)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         # every numerical check fails on NaN or inf, so numpy's warnings
         # would only add lines ahead of the one error report
-        with np.errstate(all="ignore"):
+        with np.errstate(all="ignore"), _one_blas_thread():
             return args.func(args)
     except _NUMERIC_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -308,11 +308,13 @@ def embed_total(sigma: PartialPermutation, n: int) -> PartialPermutation:
     Y^c = {y_1 < ... < y_L} (complements inside {1, ..., M}), the extension
     maps x_r -> M + r, M + r -> y_r, and fixes every point above M + L.
     Restricted to points <= M the extension agrees with sigma exactly:
-    sigma'(j) = i iff sigma(j) = i for i, j <= M.  Raises
-    :class:`NotCompletable`, with sigma as witness, when sigma has more than
-    n - M undefined points.
+    sigma'(j) = i iff sigma(j) = i for i, j <= M.  Raises ``ValueError``
+    when n < M, and :class:`NotCompletable`, with sigma as witness, when
+    sigma has more than n - M undefined points.
     """
     m = sigma.size
+    if n < m:
+        raise ValueError(f"target size {n} smaller than partial permutation size {m}")
     undefined = [j for j, v in enumerate(sigma.image, start=1) if not v]
     missing = sorted(set(range(1, m + 1)) - set(sigma.image))
     count = len(undefined)

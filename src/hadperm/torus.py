@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._linalg import DEFAULT_TOL, one_blas_thread
+from ._linalg import DEFAULT_TOL
 from ._text import format_complex, parse_complex, parse_complex_tokens, read_document
 from .errors import FormatError, IllConditioned, LimitExceeded, NotHadamard
 
@@ -447,9 +447,10 @@ def _minor_batch(a: np.ndarray, dropped: np.ndarray, cleared: np.ndarray) -> np.
     The minors are gathered by an index array into one (k, n, n) stack that
     takes one ``det`` call, and its uncleared minors one SVD call; the
     gufuncs run LAPACK on every matrix alone, so each value is the one a
-    lone minor gives.  The ``det`` call runs on one BLAS thread
-    (:func:`~hadperm._linalg.one_blas_thread`): from N = 128 its last bits
-    would otherwise depend on the thread count.
+    lone minor gives.  From N = 128 the last bits of ``det`` depend on the
+    BLAS thread count; the CLI runs each command on one thread, and a library
+    caller who needs the same bits at every count sets
+    ``OPENBLAS_NUM_THREADS`` itself.
     """
     rel_tol = _MINOR_REL_TOL
     eps = float(np.finfo(float).eps)
@@ -466,7 +467,7 @@ def _minor_batch(a: np.ndarray, dropped: np.ndarray, cleared: np.ndarray) -> np.
         singular[checked] = s_min <= n * eps * s_max
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             error[checked] = n * eps * s_max / s_min
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"), one_blas_thread():
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         det = np.linalg.det(stack)
     failing = singular | (error > rel_tol) | ~np.isfinite(det)
     if failing.any():

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from _helpers import drop_last_row
-from hadperm import completion, errors, pperm, submagic, torus
+from hadperm import cli, completion, errors, pperm, submagic, torus
 from hadperm.cli import build_parser, main
 from hadperm.errors import CriterionFailure, HadpermError, NumericalFailure, UsageError
 from hadperm.submagic import (
@@ -26,6 +26,7 @@ from hadperm.torus import format_phm, fourier, parse_phm
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "data"
+GOLDEN = ROOT / "tests" / "golden"
 
 
 def run(capsys, *argv):
@@ -34,16 +35,24 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
-def run_child(*argv):
-    """``python -m hadperm.cli`` in a child process that imports this
-    checkout's ``src``, as the tests do."""
+def start_child(*argv, **env):
+    """``python -m hadperm.cli`` started in a child process that imports
+    this checkout's ``src``, as the tests do, with ``env`` added."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    return subprocess.run(
+    return subprocess.Popen(
         [sys.executable, "-m", "hadperm.cli", *(str(a) for a in argv)],
-        capture_output=True,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env={**os.environ, "PYTHONPATH": path, **env},
     )
+
+
+def run_child(*argv):
+    """``python -m hadperm.cli`` run to its end in a child process."""
+    child = start_child(*argv)
+    stdout, stderr = child.communicate(timeout=120)
+    return subprocess.CompletedProcess(child.args, child.returncode, stdout, stderr)
 
 
 class TestCheck:
@@ -271,6 +280,21 @@ class TestPgridIsCertified:
         assert code == 1
         assert out == ""
         assert "input is not submagic at tol 1e-09" in err
+
+    @pytest.mark.parametrize("target, exit_code", [("3", 1), ("4", 0)])
+    def test_certified_once(self, capsys, monkeypatch, target, exit_code):
+        # --target 4 on a 2 x 2 grid: complete_2x2_to_4x4 certifies its own input
+        calls = []
+
+        def counting(grid, *args, _check=submagic.check_grid):
+            calls.append(grid.size)
+            return _check(grid, *args)
+
+        monkeypatch.setattr(submagic, "check_grid", counting)
+        code, _, _ = run(
+            capsys, "complete-grid", DATA / "pq_counterexample.pgrid", "--target", target
+        )
+        assert (code, calls) == (exit_code, [2])
 
     def test_mutated_grids_complete_only_to_magic(self, capsys, tmp_path):
         # seeded mutations of submagic grids: scale a block, swap two blocks,
@@ -598,6 +622,68 @@ class TestDeterminism:
         code_b, out_b, _ = run(capsys, *argv)
         assert code_a == code_b
         assert out_a == out_b
+
+
+class TestOneBlasThreadPerCommand:
+    """main runs each command on one BLAS thread and restores the count;
+    the library never sets it."""
+
+    @pytest.mark.parametrize("command", ["criteria", "complete-row"])
+    def test_f128_reports_at_one_and_two_threads(self, tmp_path, command):
+        # unpinned, the deleted-row F_128 minors take other last bits at two
+        # OpenBLAS threads than at one, and both commands print them
+        path = tmp_path / "f128.phm"
+        path.write_text(format_phm(drop_last_row(fourier([128]))), encoding="utf-8")
+        children = [
+            start_child(command, path, OPENBLAS_NUM_THREADS=threads)
+            for threads in ("1", "2")
+        ]
+        outs = [child.communicate(timeout=120)[0] for child in children]
+        assert [child.returncode for child in children] == [0, 0]
+        assert outs[0] == outs[1] != ""
+
+    def test_restores_the_thread_count(self, capsys, monkeypatch, two_blas_threads):
+        seen = []
+
+        def body(args, _count=cli._cmd_count):
+            seen.append(two_blas_threads())
+            return _count(args)
+
+        monkeypatch.setattr(cli, "_cmd_count", body)
+        assert run(capsys, "count", 3)[0] == 0
+        assert two_blas_threads() == 2
+        # a LimitExceeded raised inside the block
+        assert run(capsys, "count", 60000)[0] == 2
+        assert two_blas_threads() == 2
+        assert seen == [1, 1]
+
+    def test_missing_symbol_leaves_reports_unchanged(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda path: object())
+        assert cli._openblas_threads.__wrapped__() is None
+        monkeypatch.setattr(cli, "_openblas_threads", lambda: None)
+        code, out, _ = run(capsys, "criteria", DATA / "f4_top3_turned.phm")
+        golden = GOLDEN / "criteria__f4_top3_turned.phm.out"
+        assert f"exit: {code}\n{out}" == golden.read_text(encoding="utf-8")
+
+    def test_library_never_sets_the_count(self, capsys, monkeypatch, two_blas_threads):
+        get, set_ = cli._openblas_threads()
+        calls = []
+
+        def record(count):
+            calls.append(count)
+            set_(count)
+
+        monkeypatch.setattr(cli, "_openblas_threads", lambda: (get, record))
+        h = parse_phm((DATA / "f3_top2.phm").read_text(encoding="utf-8"))
+        completion.criteria(h)
+        completion.complete_row(h)
+        grid = submagic.grid_from_hadamard(fourier([3]))
+        check_grid(grid)
+        submagic.classical_points(grid)
+        assert calls == []
+        assert two_blas_threads() == 2
+        assert run(capsys, "criteria", DATA / "f3_top2.phm")[0] == 0
+        assert calls == [1, 2]
 
 
 # --tol and --seed sit only on the subcommands that read them.

@@ -3,8 +3,6 @@ modulus profile, explicit row completion, and the two grid criteria."""
 
 import ast
 import math
-import os
-import subprocess
 import sys
 import threading
 import tracemalloc
@@ -20,8 +18,8 @@ from _helpers import (
     reference_minors,
     take_rows,
 )
-from hadperm import _linalg, completion, submagic, torus
-from hadperm._linalg import one_blas_thread, spectral_norm
+from hadperm import completion, submagic, torus
+from hadperm._linalg import spectral_norm
 from hadperm.completion import (
     complete_row,
     criteria,
@@ -483,65 +481,18 @@ class TestBatchedMinorsAreExact:
         assert calls == {"det": [(24, 23, 23)], "svd": []}
 
 
-F128_DIGEST = (
-    "import hashlib; from hadperm import completion; "
-    "from hadperm.torus import TorusMatrix, fourier; "
-    "h = TorusMatrix.from_complex(fourier([128]).to_complex()[:-1]); "
-    "print(hashlib.sha256(completion._minors(h).tobytes()).hexdigest())"
-)
-
-
-class TestMinorsAtEveryThreadCount:
-    def test_f128_minors_at_one_and_two_threads(self):
-        # unpinned, the deleted-row F_128 takes other last bits at two
-        # OpenBLAS threads than at one
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        children = [
-            subprocess.Popen(
-                [sys.executable, "-c", F128_DIGEST],
-                stdout=subprocess.PIPE,
-                text=True,
-                env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads},
-            )
-            for threads in ("1", "2")
-        ]
-        digests = [child.communicate(timeout=120)[0] for child in children]
-        assert [child.returncode for child in children] == [0, 0]
-        assert digests[0] == digests[1] != ""
-
-    @pytest.fixture
-    def two_threads(self):
-        threads = _linalg._openblas_threads()
-        if threads is None:
-            pytest.skip("numpy bundles no OpenBLAS here")
-        get, set_ = threads
-        before = get()
-        set_(2)
-        yield get
-        set_(before)
-
-    def test_restores_the_thread_count(self, two_threads):
-        with one_blas_thread():
-            with one_blas_thread():
-                assert two_threads() == 1
-            assert two_threads() == 1
-        assert two_threads() == 2
-
-    def test_threads_share_the_pin_and_the_minors(self, two_threads):
-        # every thread reads one thread inside its block, the count comes
-        # back after the last one, and a matrix filled from several threads
-        # keeps the reference minors
+class TestMinorsFromSeveralThreads:
+    def test_threads_share_the_minors(self, two_blas_threads):
+        # a matrix filled from several Python threads at once, on two BLAS
+        # threads, keeps the reference minors
         pool = list(minor_pool(137, sizes=(5, 9)))
-        seen, minors = [], []
+        minors = []
         start = threading.Barrier(4, timeout=60)
 
         def work():
             start.wait()
             for h in pool * 8:
-                with one_blas_thread():
-                    minors.append((h, completion._minors(h)))
-                    seen.append(two_threads())
+                minors.append((h, completion._minors(h)))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -554,18 +505,9 @@ class TestMinorsAtEveryThreadCount:
         finally:
             sys.setswitchinterval(interval)
         assert not any(worker.is_alive() for worker in workers)
-        assert seen == [1] * 32 * len(pool)
-        assert two_threads() == 2
         assert len(minors) == 32 * len(pool)
         for h, got in minors:
             assert_bit_equal(got, reference_minors(h))
-
-    def test_missing_symbol_leaves_minors_working(self, monkeypatch):
-        monkeypatch.setattr(_linalg.ctypes, "CDLL", lambda path: object())
-        assert _linalg._openblas_threads.__wrapped__() is None
-        monkeypatch.setattr(_linalg, "_openblas_threads", lambda: None)
-        for h in minor_pool(131, sizes=(2, 7, 16)):
-            assert_bit_equal(completion._minors(h), reference_minors(h))
 
 
 def conditioning_pool(seed: int, sizes=(2, 3, 4, 5, 7, 8, 12, 16, 24, 40)):

@@ -413,6 +413,12 @@ class TestEmbedTotal:
             embed_total(sigma, 3)
         assert err.value.witness == sigma
 
+    def test_target_below_the_size(self):
+        # a usage error, not a witness of non-completability
+        with pytest.raises(ValueError, match="target size 2 smaller than .* size 3") as err:
+            embed_total(PartialPermutation.identity(3), 2)
+        assert not isinstance(err.value, NotCompletable)
+
     @given(partial_permutations(max_size=5), st.integers(0, 4))
     @settings(max_examples=80, deadline=None)
     def test_restriction_property(self, sigma, extra):
