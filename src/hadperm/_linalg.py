@@ -1,10 +1,20 @@
-"""Small dense linear-algebra helpers shared across modules."""
+"""Small dense linear-algebra helpers shared across modules.
+
+Every verdict on a defect at a tolerance goes through :func:`within`, so a
+NaN or infinite defect, or a NaN bound, fails it.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
 DEFAULT_TOL = 1e-9
+
+
+def within(defect, bound):
+    """``defect <= bound``: a Python bool for scalars, elementwise for arrays."""
+    ok = defect <= bound
+    return ok if isinstance(ok, np.ndarray) else bool(ok)
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:

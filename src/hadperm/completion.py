@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import torus
-from ._linalg import DEFAULT_TOL, spectral_norm
+from ._linalg import DEFAULT_TOL, spectral_norm, within
 from .errors import IllConditioned, NotCompletable
 from .torus import TorusMatrix
 
@@ -152,10 +152,10 @@ def _kernel(h: TorusMatrix, tol: float) -> np.ndarray:
     u = n ** (1.0 - n / 2.0) * _cofactors(_minors(h))
     # The cofactor identity makes <R_i, Z> an N x N determinant with a
     # repeated row, hence zero; deviations beyond rounding mean the minor
-    # determinants themselves are unreliable.  Written so that NaN fails.
+    # determinants themselves are unreliable.
     residual = float(np.abs(h.to_complex() @ u.conj()).max())
     allowance = max(tol, 1e3 * np.finfo(float).eps) * n
-    if not residual <= allowance:
+    if not within(residual, allowance):
         raise IllConditioned(
             f"kernel vector fails row orthogonality: residual {residual:.3e} "
             f"exceeds {allowance:.3e}"
@@ -187,8 +187,8 @@ def modulus_profile(h: TorusMatrix, tol: float = DEFAULT_TOL) -> ModulusProfile:
     unit = moduli * n ** (1.0 - n / 2.0)
     return ModulusProfile(
         moduli=tuple(float(v) for v in moduli),
-        constant=bool(unit.max() - unit.min() <= tol),
-        hadamard_value=bool(np.abs(unit - 1.0).max() <= tol),
+        constant=within(unit.max() - unit.min(), tol),
+        hadamard_value=within(np.abs(unit - 1.0).max(), tol),
     )
 
 
@@ -225,7 +225,7 @@ def gram_criterion(h: TorusMatrix, tol: float = DEFAULT_TOL) -> bool:
     a = h.to_complex()
     gram = np.abs(a.conj().T @ a) ** 2 / n
     q = gram - (n - 2) * np.eye(n)
-    return bool(spectral_norm(q @ q - q) <= tol)
+    return within(spectral_norm(q @ q - q), tol)
 
 
 def weighted_criterion(h: TorusMatrix, tol: float = DEFAULT_TOL) -> WeightedResult:
@@ -242,7 +242,7 @@ def weighted_criterion(h: TorusMatrix, tol: float = DEFAULT_TOL) -> WeightedResu
     norm = spectral_norm((a * weights) @ a.conj().T - mass * np.eye(h.rows))
     with np.errstate(over="ignore"):
         c = float((np.abs(_minors(h)) ** 2).sum())
-    return WeightedResult(passes=bool(norm <= tol * mass), c=c, deviation=norm / mass)
+    return WeightedResult(passes=within(norm, tol * mass), c=c, deviation=norm / mass)
 
 
 def criteria(h: TorusMatrix, tol: float = DEFAULT_TOL) -> CriteriaReport:
@@ -268,4 +268,4 @@ def criteria(h: TorusMatrix, tol: float = DEFAULT_TOL) -> CriteriaReport:
     b = 1.0 / a
     corner = (a.T @ a.conj()) * (b.T @ b.conj()) / h.cols - (h.rows - 1) * np.eye(h.cols)
     return CriteriaReport(profile=profile, gram=gram, weighted=weighted,
-                          border=spectral_norm(corner @ corner - corner) <= tol)
+                          border=within(spectral_norm(corner @ corner - corner), tol))

@@ -32,6 +32,7 @@ from ._linalg import (
     random_projection,
     spectral_norm,
     spectral_norms,
+    within,
 )
 from ._text import format_complex, parse_complex, parse_complex_tokens, read_document
 from .errors import (
@@ -233,12 +234,12 @@ def check_grid(grid: ProjGrid, tol: float = DEFAULT_TOL) -> GridReport:
     col_sum_err = _max_spectral_of(blocks.sum(axis=0) - eye)
     row_orth, col_orth, commutator = _pair_defects(flat, m)
 
-    submagic = max(proj_err, herm_err, row_orth, col_orth) <= tol
-    magic = submagic and max(row_sum_err, col_sum_err) <= tol
+    submagic = all(within(v, tol) for v in (proj_err, herm_err, row_orth, col_orth))
+    magic = submagic and all(within(v, tol) for v in (row_sum_err, col_sum_err))
     return GridReport(
         submagic=submagic,
         magic=magic,
-        commuting=commutator <= tol,
+        commuting=within(commutator, tol),
         worst_violations={
             "projection": proj_err,
             "hermitian": herm_err,
@@ -405,7 +406,7 @@ def pre_latin_from_rank_one(
     w = np.linalg.eigvalsh(hermitize(grid.blocks.reshape(m * m, d, d)))
     # ascending eigenvalues: the top one must be 1 and all others 0
     rest = np.abs(w[:, :-1]).max(axis=1, initial=0.0)
-    bad = (np.abs(w[:, -1] - 1.0) > cluster_tol) | (rest > cluster_tol)
+    bad = ~(within(np.abs(w[:, -1] - 1.0), cluster_tol) & within(rest, cluster_tol))
     if bad.any():
         a = int(np.argmax(bad))
         raise RankError(
@@ -471,8 +472,7 @@ def _joint_eigensystem(
 def _require_commuting(ops: np.ndarray, m: int, tol: float) -> None:
     _require_pair_scan_fits(m, ops.shape[-1])
     _, _, commutator = _pair_defects(ops, m)
-    # Written so that NaN fails, as in check_grid's commuting flag.
-    if not commutator <= tol:
+    if not within(commutator, tol):
         raise NotCommuting(f"largest commutator {commutator:.3e} exceeds tol {tol}")
 
 
@@ -488,12 +488,11 @@ def _classify_columns(
     lam = np.einsum("dc,bdc->bc", vectors.conj(), applied).real
     applied -= lam[:, None, :] * vectors[None, :, :]
     residual = np.linalg.norm(applied, axis=1)
-    # Written so that NaN fails: overflowed products certify no eigenvector.
-    if not float(residual.max()) <= cls_tol:
+    if not within(residual.max(), cls_tol):
         raise DegenerateSplit(
             f"eigenvector residual {float(residual.max()):.3e} exceeds {cls_tol:.3e}"
         )
-    if float(np.minimum(np.abs(lam), np.abs(lam - 1)).max()) > cls_tol:
+    if not within(np.minimum(np.abs(lam), np.abs(lam - 1)).max(), cls_tol):
         raise DegenerateSplit("block eigenvalues are not 0/1 on the joint basis")
     # the bound holds for a unitary V in exact arithmetic; eigh's V is unitary
     # to O(d eps), and the residuals and the scan's products carry O(d eps)
@@ -502,7 +501,7 @@ def _classify_columns(
     if len(r) > 1:
         q, r1, r2 = np.abs(lam).max(), r[-1], r[-2]
         bound = (2 * q * (r1 + r2) + 2 * r1 * r2) * (1 + 1e-6) + 64 * d * np.finfo(float).eps
-        if bound > tol:
+        if not within(bound, tol):
             _require_commuting(ops, m, tol)
     fixed = (lam > 0.5).reshape(m, m, d)
     hits = fixed.sum(axis=0)
@@ -548,8 +547,7 @@ def complete_last(grid: ProjGrid, *, tol: float = DEFAULT_TOL) -> ProjGrid:
     _require_grid_fits(m + 1, d)
     corner = grid.total_sum() - (m - 1) * np.eye(d)
     defect = spectral_norm(corner @ corner - corner)
-    # Written so that NaN fails: a corner that overflowed is not certified.
-    if not defect <= tol:
+    if not within(defect, tol):
         raise NotCompletable(
             f"corner block is not a projection: ||P^2 - P|| = {defect:.3e} > {tol}",
             witness=defect,
@@ -649,7 +647,7 @@ def sum_bound_check(
     m = grid.size
     bound = m - (n - m)
     lambda_min = float(np.linalg.eigvalsh(hermitize(grid.total_sum()))[0])
-    return SumBoundResult(lambda_min=lambda_min, passes=lambda_min >= bound - tol)
+    return SumBoundResult(lambda_min=lambda_min, passes=within(bound - tol, lambda_min))
 
 
 def random_grid(m: int, d: int, seed: int) -> ProjGrid:

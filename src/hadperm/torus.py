@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._linalg import DEFAULT_TOL
+from ._linalg import DEFAULT_TOL, within
 from ._text import format_complex, parse_complex, parse_complex_tokens, read_document
 from .errors import FormatError, IllConditioned, LimitExceeded, NotHadamard
 
@@ -194,8 +194,7 @@ def _build(
 
 
 def _check_unit(arr: np.ndarray) -> None:
-    # Written so that NaN fails: every comparison with NaN is False.
-    bad = ~(np.abs(np.abs(arr) - 1.0) <= CONSTRUCTION_TOL)
+    bad = ~within(np.abs(np.abs(arr) - 1.0), CONSTRUCTION_TOL)
     if bad.any():
         value = complex(arr[np.unravel_index(int(np.argmax(bad)), bad.shape)])
         raise ValueError(f"not unit modulus within {CONSTRUCTION_TOL}: {value!r}")
@@ -305,7 +304,7 @@ def is_partial_hadamard(h: TorusMatrix, tol: float = DEFAULT_TOL) -> HadamardRep
         worst_value = float(gram[p_i, p_j])
         worst_pair = (min(p_i, p_j) + 1, max(p_i, p_j) + 1)
 
-    ok = worst_mod <= tol and worst_value <= tol * n
+    ok = within(worst_mod, tol) and within(worst_value, tol * n)
     return HadamardReport(ok, worst_pair, worst_value, worst_entry, worst_mod)
 
 
@@ -345,9 +344,8 @@ def minor_det(h: TorusMatrix, j: int) -> complex:
     :class:`IllConditioned` raised when the condition-number based estimate
     of the relative error exceeds 1e-6 or the determinant is not a finite
     double.  For a partial Hadamard input every minor has singular values
-    sqrt(N) (N - 2 times) and 1, so its condition number is sqrt(N); the
-    many-column pass certifies that from one eigendecomposition of HH*, but
-    a lone minor takes its SVD, which costs about as much.
+    sqrt(N) (N - 2 times) and 1, so its condition number is sqrt(N), which
+    the pass certifies from one eigendecomposition of HH*.
     """
     if h.rows != h.cols - 1:
         raise ValueError(
@@ -372,18 +370,13 @@ def _minor_dets(a: np.ndarray, cols: Sequence[int]) -> np.ndarray:
 
     The minor without column c_j has Gram matrix HH* - c_j c_j*; for a
     partial Hadamard H that is N I - c_j c_j*, with singular values sqrt(N)
-    (N - 2 times) and 1.  A call of more than one column bounds every
-    minor's singular values from one eigendecomposition of HH*
-    (:func:`_conditioned_columns`), and only the minors it cannot clear take
-    an SVD.
+    (N - 2 times) and 1.  Every call bounds each minor's singular values from
+    one eigendecomposition of HH* (:func:`_conditioned_columns`), and only the
+    minors it cannot clear take an SVD.
     """
     n = a.shape[0]
     dropped = np.asarray(cols, dtype=np.intp) - 1
-    # the bound costs about one SVD, so a lone minor takes its SVD alone
-    if len(dropped) > 1:
-        cleared = _conditioned_columns(a)[dropped]
-    else:
-        cleared = np.zeros(len(dropped), dtype=bool)
+    cleared = _conditioned_columns(a)[dropped]
     step = max(1, _MINOR_BATCH // (n * n))
     out = np.empty(len(dropped), dtype=complex)
     for start in range(0, len(dropped), step):
@@ -435,9 +428,7 @@ def _conditioned_columns(a: np.ndarray) -> np.ndarray:
         frob = norms.sum()
         slack = 2 * (m + 2 * n + 8) * eps * frob + n * m * float(np.finfo(float).tiny)
         lo = lam[0] - norms - slack
-        return (lo > 0) & (
-            n * eps * np.sqrt((lam[-1] + slack) / lo) <= _MINOR_REL_TOL / 2
-        )
+        return (lo > 0) & within(n * eps * np.sqrt((lam[-1] + slack) / lo), _MINOR_REL_TOL / 2)
 
 
 def _minor_batch(a: np.ndarray, dropped: np.ndarray, cleared: np.ndarray) -> np.ndarray:
@@ -469,13 +460,13 @@ def _minor_batch(a: np.ndarray, dropped: np.ndarray, cleared: np.ndarray) -> np.
             error[checked] = n * eps * s_max / s_min
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         det = np.linalg.det(stack)
-    failing = singular | (error > rel_tol) | ~np.isfinite(det)
+    failing = singular | ~within(error, rel_tol) | ~np.isfinite(det)
     if failing.any():
         b = int(np.argmax(failing))
         j = int(dropped[b]) + 1
         if singular[b]:
             raise IllConditioned(f"minor without column {j} is numerically singular")
-        if error[b] > rel_tol:
+        if not within(error[b], rel_tol):
             raise IllConditioned(
                 f"determinant of minor without column {j}: estimated relative error "
                 f"{error[b]:.3e} exceeds {rel_tol:.3e}"

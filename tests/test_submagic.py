@@ -629,6 +629,14 @@ class TestPreLatinFromRankOne:
             pre_latin_from_rank_one(grid, 3)
         assert len(str(err.value)) < 120
 
+    @pytest.mark.parametrize("scale", [1e300, 1.7e308])
+    def test_rank_error_on_huge_blocks(self, scale):
+        # at 1.7e308 hermitize overflows and eigvalsh returns NaN, which must
+        # fail the rank test as the finite eigenvalues at 1e300 do
+        grid = ProjGrid(np.full((1, 1, 2, 2), scale))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(RankError):
+            pre_latin_from_rank_one(grid, 2)
+
     def test_rank_error_on_negative_eigenvalue(self):
         # top two eigenvalues look rank-one (1 and 0); the negative one must
         # still disqualify the block
