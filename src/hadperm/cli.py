@@ -48,6 +48,10 @@ def _emit(args, report: dict, text_lines: list[str]) -> None:
             print(line)
 
 
+def _emit_document(args, key: str, text: str) -> None:
+    _emit(args, {key: text}, [text.rstrip("\n")])
+
+
 def _flag(value: bool) -> str:
     return "true" if value else "false"
 
@@ -117,10 +121,8 @@ def _cmd_grid(args) -> int:
 
 
 def _cmd_complete_row(args) -> int:
-    h = torus.read_phm(args.input)
-    completed = completion.complete_row(h, tol=args.tol)
-    text = torus.format_phm(completed)
-    _emit(args, {"completed": text}, [text.rstrip("\n")])
+    completed = completion.complete_row(torus.read_phm(args.input), tol=args.tol)
+    _emit_document(args, "completed", torus.format_phm(completed))
     return EXIT_OK
 
 
@@ -143,8 +145,7 @@ def _cmd_complete_grid(args) -> int:
             full = submagic.complete_last(grid, tol=args.tol)
         else:
             full = submagic.complete_commuting(grid, target, tol=args.tol)
-    text = submagic.format_pgrid(full)
-    _emit(args, {"completed": text}, [text.rstrip("\n")])
+    _emit_document(args, "completed", submagic.format_pgrid(full))
     return EXIT_OK
 
 
@@ -223,17 +224,14 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_fourier(args) -> int:
-    h = torus.fourier(args.orders)
-    text = torus.format_phm(h)
-    _emit(args, {"phm": text}, [text.rstrip("\n")])
+    _emit_document(args, "phm", torus.format_phm(torus.fourier(args.orders)))
     return EXIT_OK
 
 
 def _cmd_tensor(args) -> int:
     h = torus.read_phm(args.left)
     k = torus.read_phm(args.right)
-    text = torus.format_phm(torus.tensor(h, k))
-    _emit(args, {"phm": text}, [text.rstrip("\n")])
+    _emit_document(args, "phm", torus.format_phm(torus.tensor(h, k)))
     return EXIT_OK
 
 
@@ -277,84 +275,53 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # Each subcommand takes only the flags it reads; --json is on all of them.
-    def common(p, *, tol=False):
-        if tol:
-            p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL,
-                           help="numerical tolerance, a finite number >= 0")
-        p.add_argument("--json", action="store_true", help="emit one JSON object")
-
-    p = sub.add_parser("check", help="certify a .phm file as partial Hadamard")
-    p.add_argument("input")
-    common(p, tol=True)
-    p.set_defaults(func=_cmd_check)
-
-    p = sub.add_parser(
-        "grid",
-        help="build the projection grid of a .phm file and report its "
-        "properties (plus pre-Latin square and semigroup when commuting)",
-    )
-    p.add_argument("input")
-    common(p, tol=True)
-    p.set_defaults(func=_cmd_grid)
-
-    p = sub.add_parser("complete-row", help="complete an (N-1) x N .phm file to N x N")
-    p.add_argument("input")
-    common(p, tol=True)
-    p.set_defaults(func=_cmd_complete_row)
-
-    p = sub.add_parser(
-        "complete-grid",
-        help="complete a grid (.pgrid, or the grid of a .phm file); default "
-        "target M+1 uses the border completion, M=2 to 4 the unconditional "
-        "construction, anything else the commuting completion",
-    )
-    p.add_argument("input")
-    p.add_argument("--target", type=int, default=None, help="target grid size")
-    common(p, tol=True)
-    p.set_defaults(func=_cmd_complete_grid)
-
-    p = sub.add_parser(
-        "criteria", help="run all completion criteria for an (N-1) x N .phm file"
-    )
-    p.add_argument("input")
-    common(p, tol=True)
-    p.set_defaults(func=_cmd_criteria)
-
-    p = sub.add_parser("semigroup", help="semigroup of a .pls pre-Latin square")
-    p.add_argument("input")
-    common(p)
-    p.set_defaults(func=_cmd_semigroup)
-
-    p = sub.add_parser("count", help="number of partial permutations of {1..N}")
-    p.add_argument("n", type=int)
-    common(p)
-    p.set_defaults(func=_cmd_count)
-
-    p = sub.add_parser("enumerate", help="list all partial permutations of {1..N}")
-    p.add_argument("n", type=int)
-    p.add_argument("--limit", type=int, default=pperm.DEFAULT_ENUM_LIMIT,
-                   help="enumeration size cap")
-    common(p)
-    p.set_defaults(func=_cmd_enumerate)
-
-    p = sub.add_parser("fourier", help="print the Fourier matrix F_n1 (x) ... (x) F_nk")
-    p.add_argument("orders", type=int, nargs="+")
-    common(p)
-    p.set_defaults(func=_cmd_fourier)
-
-    p = sub.add_parser("tensor", help="tensor product of two .phm files")
-    p.add_argument("left")
-    p.add_argument("right")
-    common(p)
-    p.set_defaults(func=_cmd_tensor)
-
-    p = sub.add_parser("verify", help="run the acceptance criteria suite")
-    p.add_argument("--seed", type=int, default=0,
-                   help="seed of the random instances of criteria 5, 6 and 9")
-    common(p)
-    p.set_defaults(func=_cmd_verify)
-
+    arguments = {
+        "input": {},
+        "left": {},
+        "right": {},
+        "n": {"type": int},
+        "orders": {"type": int, "nargs": "+"},
+        "--target": {"type": int, "default": None, "help": "target grid size"},
+        "--limit": {"type": int, "default": pperm.DEFAULT_ENUM_LIMIT,
+                    "help": "enumeration size cap"},
+        "--seed": {"type": int, "default": 0,
+                   "help": "seed of the random instances of criteria 5, 6 and 9"},
+        "--tol": {"type": _tolerance, "default": DEFAULT_TOL,
+                  "help": "numerical tolerance, a finite number >= 0"},
+        "--json": {"action": "store_true", "help": "emit one JSON object"},
+    }
+    # name, handler, help, and the arguments it reads: positionals, then its
+    # own flags; --json is on every subcommand
+    commands = [
+        ("check", _cmd_check, "certify a .phm file as partial Hadamard",
+         ["input", "--tol"]),
+        ("grid", _cmd_grid,
+         "build the projection grid of a .phm file and report its properties "
+         "(plus pre-Latin square and semigroup when commuting)",
+         ["input", "--tol"]),
+        ("complete-row", _cmd_complete_row,
+         "complete an (N-1) x N .phm file to N x N", ["input", "--tol"]),
+        ("complete-grid", _cmd_complete_grid,
+         "complete a grid (.pgrid, or the grid of a .phm file); default target "
+         "M+1 uses the border completion, M=2 to 4 the unconditional "
+         "construction, anything else the commuting completion",
+         ["input", "--target", "--tol"]),
+        ("criteria", _cmd_criteria,
+         "run all completion criteria for an (N-1) x N .phm file", ["input", "--tol"]),
+        ("semigroup", _cmd_semigroup, "semigroup of a .pls pre-Latin square", ["input"]),
+        ("count", _cmd_count, "number of partial permutations of {1..N}", ["n"]),
+        ("enumerate", _cmd_enumerate, "list all partial permutations of {1..N}",
+         ["n", "--limit"]),
+        ("fourier", _cmd_fourier, "print the Fourier matrix F_n1 (x) ... (x) F_nk",
+         ["orders"]),
+        ("tensor", _cmd_tensor, "tensor product of two .phm files", ["left", "right"]),
+        ("verify", _cmd_verify, "run the acceptance criteria suite", ["--seed"]),
+    ]
+    for name, func, text, reads in commands:
+        p = sub.add_parser(name, help=text)
+        for arg in [*reads, "--json"]:
+            p.add_argument(arg, **arguments[arg])
+        p.set_defaults(func=func)
     return parser
 
 

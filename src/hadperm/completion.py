@@ -114,14 +114,6 @@ class CriteriaReport:
         }
 
 
-def _require_shape(h: TorusMatrix) -> int:
-    if h.rows != h.cols - 1:
-        raise ValueError(
-            f"completion theory needs an (N-1) x N matrix, got {h.rows} x {h.cols}"
-        )
-    return h.cols
-
-
 def _minors(h: TorusMatrix) -> np.ndarray:
     """All minor determinants det H^(j), j = 1..N, as a read-only array.
 
@@ -133,7 +125,7 @@ def _minors(h: TorusMatrix) -> np.ndarray:
     """
     minors = h._minors
     if minors is None:
-        n = _require_shape(h)
+        n = torus._require_minor_shape(h)
         minors = torus._minor_dets(h.to_complex(), range(1, n + 1))
         minors.setflags(write=False)
         h._minors = minors
@@ -197,14 +189,17 @@ def complete_row(h: TorusMatrix, *, tol: float = DEFAULT_TOL) -> TorusMatrix:
     matrix: ``H[N, j] = (-1)^j * N^(1 - N/2) * conj(det H^(j))``.
 
     Requires a constant modulus profile; the profile travels on the
-    :class:`NotCompletable` witness otherwise.  Existing rows are preserved
-    bit-exactly; the appended row is float, so the result is a float matrix.
+    :class:`NotCompletable` witness otherwise.  The input is then certified
+    partial Hadamard at ``tol``: a constant profile alone does not make it
+    one.  Existing rows are preserved bit-exactly; the appended row is float,
+    so the result is a float matrix.
     """
     profile = modulus_profile(h, tol)
     if not profile.constant:
         raise NotCompletable(
             f"minor moduli are not constant: {profile.moduli}", witness=profile
         )
+    torus._require_hadamard(h, tol)
     row = _kernel(h, tol)
     try:
         return torus._stack(h, row[None, :])
@@ -221,7 +216,7 @@ def gram_criterion(h: TorusMatrix, tol: float = DEFAULT_TOL) -> bool:
     associated rank-one grid completes to a magic grid exactly when
     ``Q = G - (N-2)`` is a projection; this checks ``||Q^2 - Q|| <= tol``.
     """
-    n = _require_shape(h)
+    n = torus._require_minor_shape(h)
     a = h.to_complex()
     gram = np.abs(a.conj().T @ a) ** 2 / n
     q = gram - (n - 2) * np.eye(n)

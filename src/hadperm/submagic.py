@@ -598,10 +598,12 @@ def complete_2x2_to_4x4(grid: ProjGrid, *, tol: float = DEFAULT_TOL) -> ProjGrid
     (completed diagonally with complements relative to 1 - z).  The direct
     sum of the two pieces collapses to the closed form below: complements of
     the input's rows and columns fill the off-corner, and p, q, r, s repeat
-    in the opposite corner.
+    in the opposite corner.  A completion larger than ``_GRID_BYTES_LIMIT``
+    is refused with :class:`LimitExceeded` first.
     """
     if grid.size != 2:
         raise ValueError(f"expected a 2 x 2 grid, got {grid.size} x {grid.size}")
+    _require_grid_fits(4, grid.dim)
     _require_submagic(grid, tol)
     p, r = grid.blocks[0, 0], grid.blocks[0, 1]
     s, q = grid.blocks[1, 0], grid.blocks[1, 1]

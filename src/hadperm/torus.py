@@ -336,6 +336,16 @@ def row_quotient(h: TorusMatrix, i: int, j: int) -> TorusMatrix:
     )
 
 
+def _require_minor_shape(h: TorusMatrix) -> int:
+    """Return N, raising ``ValueError`` unless ``h`` is (N-1) x N, the shape
+    whose N square minors the completion theory needs."""
+    if h.rows != h.cols - 1:
+        raise ValueError(
+            f"completion theory needs an (N-1) x N matrix, got {h.rows} x {h.cols}"
+        )
+    return h.cols
+
+
 def minor_det(h: TorusMatrix, j: int) -> complex:
     """Determinant of the square minor obtained by deleting column j (1-based).
 
@@ -347,10 +357,7 @@ def minor_det(h: TorusMatrix, j: int) -> complex:
     sqrt(N) (N - 2 times) and 1, so its condition number is sqrt(N), which
     the pass certifies from one eigendecomposition of HH*.
     """
-    if h.rows != h.cols - 1:
-        raise ValueError(
-            f"minor determinants need an (N-1) x N matrix, got {h.rows} x {h.cols}"
-        )
+    _require_minor_shape(h)
     if not 1 <= j <= h.cols:
         raise ValueError(f"column index {j} out of range")
     return complex(_minor_dets(h.to_complex(), [j])[0])

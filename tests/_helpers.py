@@ -55,6 +55,18 @@ def take_rows(h: TorusMatrix, count: int) -> TorusMatrix:
     return TorusMatrix.from_phases(phases(h)[:count])
 
 
+def turned_hadamard_rows(angle: float = 1e-3) -> TorusMatrix:
+    """Rows cos(t) R1 + i sin(t) R2, R2, R3 of the real 4 x 4 Hadamard
+    matrix: unit-modulus, not partial Hadamard (|<R1, R2>| = 4 sin t), yet
+    with a constant minor profile, since by Cauchy-Binet the squared minor
+    moduli sum to det(HH*) and each equals a quarter of it here."""
+    r = np.array(
+        [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]], dtype=complex
+    )
+    top = np.cos(angle) * r[0] + 1j * np.sin(angle) * r[1]
+    return TorusMatrix.from_complex(np.array([top, r[1], r[2]]))
+
+
 def reference_minors(h: TorusMatrix) -> np.ndarray:
     """Reference minor determinants det H^(j), j = 1..N, of an (N-1) x N
     matrix: one ``np.delete`` and one ``det`` per column."""

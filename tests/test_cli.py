@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from _helpers import drop_last_row
+from _helpers import drop_last_row, turned_hadamard_rows
 from hadperm import cli, completion, errors, pperm, submagic, torus
 from hadperm.cli import build_parser, main
 from hadperm.errors import CriterionFailure, HadpermError, NumericalFailure, UsageError
@@ -155,6 +155,15 @@ class TestCompleteRow:
         code, _, err = run(capsys, "complete-row", bad, "--tol", "1e-8")
         assert code == 1
         assert "constant" in err
+
+    def test_not_partial_hadamard_exit_code(self, capsys, tmp_path):
+        # constant minor moduli, but rows 1 and 2 are not orthogonal
+        path = tmp_path / "turned.phm"
+        path.write_text(format_phm(turned_hadamard_rows()), encoding="utf-8")
+        code, out, err = run(capsys, "complete-row", path)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: not partial Hadamard")
+        assert "worst row pair (1, 2)" in err
 
 
 class TestNonFiniteInput:
@@ -489,6 +498,16 @@ class TestOversizedRequests:
         assert err == "error: a 3 x 3 grid of 2 x 2 blocks exceeds the limit of 5.75e+02 bytes\n"
         monkeypatch.setattr(submagic, "_GRID_BYTES_LIMIT", 576)
         assert run(capsys, "complete-grid", DATA / "f2.phm")[0] == 0
+
+    def test_2x2_to_4x4_completion_past_the_grid_limit(self, capsys, monkeypatch):
+        # a 4 x 4 grid of 2 x 2 blocks: 1024 bytes
+        argv = ("complete-grid", DATA / "pq_counterexample.pgrid", "--target", "4")
+        monkeypatch.setattr(submagic, "_GRID_BYTES_LIMIT", 1023)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: a 4 x 4 grid of 2 x 2 blocks exceeds the limit of 1.02e+03 bytes\n"
+        monkeypatch.setattr(submagic, "_GRID_BYTES_LIMIT", 1024)
+        assert run(capsys, *argv)[0] == 0
 
     def test_count_past_the_limit(self, capsys):
         n = pperm._COUNT_LIMIT + 1

@@ -17,6 +17,7 @@ from _helpers import (
     phases,
     reference_minors,
     take_rows,
+    turned_hadamard_rows,
 )
 from hadperm import completion, submagic, torus
 from hadperm._linalg import spectral_norm
@@ -176,6 +177,34 @@ class TestCompleteRow:
             complete_row(perturb(f3_top2(), 1, 2), tol=1e-8)
         assert err.value.witness is not None
         assert not err.value.witness.constant
+
+    def test_constant_profile_not_partial_hadamard(self):
+        h = turned_hadamard_rows()
+        assert modulus_profile(h).constant
+        with pytest.raises(
+            NotHadamard, match=r"worst row pair \(1, 2\) has \|<R_i,R_j>\| = 4\.000e-03"
+        ):
+            complete_row(h)
+
+
+# every completion entry point states the (N-1) x N hypothesis in one text
+SHAPE_CALLS = {
+    "minor_det": lambda h: minor_det(h, 1),
+    "modulus_profile": modulus_profile,
+    "gram_criterion": gram_criterion,
+    "weighted_criterion": weighted_criterion,
+    "kernel_vector": kernel_vector,
+    "complete_row": complete_row,
+    "criteria": criteria,
+}
+
+
+@pytest.mark.parametrize("name", SHAPE_CALLS)
+def test_one_shape_text(name):
+    with pytest.raises(
+        ValueError, match=r"^completion theory needs an \(N-1\) x N matrix, got 2 x 2$"
+    ):
+        SHAPE_CALLS[name](fourier([2]))
 
 
 class TestGramCriterion:

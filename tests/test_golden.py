@@ -1,16 +1,20 @@
 """Golden CLI outputs: stdout and exit code of every subcommand on every
-``data/`` file it accepts, in text and ``--json`` mode.
+``data/`` file it accepts, in text and ``--json`` mode, and of ``--help`` for
+the program and for each subcommand.
 
 Each case is stored as ``golden/<case>.out``: an ``exit: N`` line followed by
-the exact stdout.  After an intended change of output, rewrite them with
-``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
+the exact stdout.  argparse wraps help text to the terminal width, so every
+case runs with ``COLUMNS`` fixed.  After an intended change of output, rewrite
+them with ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import os
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -51,6 +55,11 @@ _COMMANDS = (
     ]
 )
 
+_SUBCOMMANDS = (
+    "check", "grid", "complete-row", "complete-grid", "criteria", "semigroup",
+    "count", "enumerate", "fourier", "tensor", "verify",
+)
+
 CASES = {
     "__".join([command, *args]) + suffix: [
         command,
@@ -60,12 +69,23 @@ CASES = {
     for command, args in _COMMANDS
     for suffix, flags in (("", []), (".json", ["--json"]))
 }
+CASES["help"] = ["--help"]
+CASES.update({f"{command}__help": [command, "--help"] for command in _SUBCOMMANDS})
 
 
 def run_case(argv: list[str]) -> str:
+    """The ``exit: N`` line and stdout of one run; argparse's exit (from
+    ``--help``) is recorded like a returned code."""
     out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = main(argv)
+    with (
+        mock.patch.dict(os.environ, {"COLUMNS": "80"}),
+        contextlib.redirect_stdout(out),
+        contextlib.redirect_stderr(io.StringIO()),
+    ):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
     return f"exit: {code}\n{out.getvalue()}"
 
 

@@ -432,6 +432,18 @@ class TestGridBytesLimit:
         with pytest.raises(LimitExceeded, match="a 4 x 4 grid of 2 x 2 blocks"):
             complete_commuting(grid, 4)
 
+    def test_complete_2x2_to_4x4_at_the_limit(self, monkeypatch):
+        grid = random_grid(2, 2, 0)
+        # a 4 x 4 grid of 2 x 2 blocks: 1024 bytes
+        monkeypatch.setattr(submagic, "_GRID_BYTES_LIMIT", 1024)
+        assert complete_2x2_to_4x4(grid).size == 4
+        monkeypatch.setattr(submagic, "_GRID_BYTES_LIMIT", 1023)
+        checked = []
+        monkeypatch.setattr(submagic, "check_grid", lambda *args: checked.append(args))
+        with pytest.raises(LimitExceeded, match="a 4 x 4 grid of 2 x 2 blocks"):
+            complete_2x2_to_4x4(grid)
+        assert checked == []
+
     def test_complete_commuting_refuses_before_the_eigenbasis(self):
         grid = grid_from_hadamard(fourier([2]))
         tracemalloc.start()
